@@ -5,8 +5,9 @@ their pointwise difference mod k is a bijection.  An m-clique is equivalent
 to an m x k difference matrix over Z_k, and its size bounds the graph's
 clique number from below.  The package provides:
 
-* core        -- residue-vector functions, the edge predicate
-* certificate -- verified clique certificates, normalization, file format
+* core        -- residue-vector functions (the vertex type), the edge predicate
+* certificate -- clique certificates as one read-only m x k table:
+                 verification, normalization, file format
 * constructions -- prime-factor cliques, products, divisor-DP lower bounds
 * search      -- symmetry-reduced exhaustive / randomized backtracking
 * oracle      -- brute-force reference answers for k <= 5
@@ -41,19 +42,17 @@ from .constructions import (
     lower_bound,
     materialize_bound,
     prime_construction,
+    provenance_label,
     provenance_lines,
     smallest_prime_factor,
 )
 from .core import (
     ModFunction,
-    add_constant,
     difference,
     identity_function,
     is_bijection,
     is_edge,
     mod_function,
-    pointwise_add,
-    relabel_domain,
     zero_function,
 )
 from .oracle import (

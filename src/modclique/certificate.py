@@ -2,10 +2,14 @@
 
 A clique certificate is a modulus k together with m functions Z_k -> Z_k that
 are pairwise adjacent in G_k.  Read row-wise it is exactly an m x k difference
-matrix over Z_k.  Certificates arrive in two states:
+matrix over Z_k, and that is how it is stored: one read-only (m, k) int64
+array, ``table``, validated in a single vectorized pass (integer dtype, shape
+(m, k) with m >= 1, every value in [0, k)).  ``rows`` presents the same data
+as a tuple of ``ModFunction`` vertices, built on first access.  Certificates
+arrive in two states:
 
-* ``UncheckedCertificate`` -- shape-valid rows of the right modulus, no claim
-  about adjacency.  This is what ``parse`` returns.
+* ``UncheckedCertificate`` -- a shape-valid table of the right modulus, no
+  claim about adjacency.  This is what ``parse`` returns.
 * ``CliqueCertificate`` -- constructing one runs the full pairwise check and
   raises ``CertificateError`` on any violation, so holding an instance is
   proof the rows really form a clique.  Downstream operations (composition,
@@ -24,23 +28,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (
-    ModFunction,
-    add_constant,
-    difference,
-    identity_function,
-    invert_permutation,
-    relabel_domain,
-    validate_modulus,
-    zero_function,
-)
+from .core import ModFunction, validate_modulus
 
 BUILTIN_MODULI = (15, 21, 27)
 
@@ -90,46 +85,73 @@ class VerificationReport:
         )
 
 
-def _check_rows(k: int, rows: Sequence[ModFunction]) -> tuple[ModFunction, ...]:
+def _as_table(k: int, table: np.typing.ArrayLike) -> np.ndarray:
+    """A read-only int64 copy of an (m, k) table of residues mod k."""
     validate_modulus(k)
-    rows = tuple(rows)
-    if not rows:
-        raise CertificateError("a certificate needs at least one row")
-    for i, r in enumerate(rows):
-        if not isinstance(r, ModFunction):
-            raise CertificateError(f"row {i} is not a ModFunction")
-        if r.k != k:
-            raise CertificateError(f"row {i} has modulus {r.k}, expected {k}")
-    return rows
+    try:
+        arr = np.array(table)  # always a fresh array, never the caller's
+    except ValueError:
+        raise CertificateError("rows have unequal lengths") from None
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != k:
+        raise CertificateError(
+            f"a certificate needs an m x {k} table with m >= 1, got shape {arr.shape}"
+        )
+    if arr.dtype.kind not in "iu":
+        raise CertificateError(f"table values must be integers, got dtype {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= k:
+        i, j = np.argwhere((arr < 0) | (arr >= k))[0]
+        raise CertificateError(
+            f"value {arr[i, j]} at row {i}, column {j} is not a residue in [0, {k})"
+        )
+    arr = arr.astype(np.int64, copy=False)
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
-class UncheckedCertificate:
-    """Rows of the right shape and modulus, adjacency not yet checked."""
+@dataclass(frozen=True, eq=False)
+class _Certificate:
+    """Modulus k and a read-only (m, k) int64 table; the constructor accepts
+    any integer array-like of that shape (such as a sequence of ModFunction
+    rows) and always stores its own copy."""
 
     k: int
-    rows: tuple[ModFunction, ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _check_rows(self.k, self.rows))
+        object.__setattr__(self, "table", _as_table(self.k, self.table))
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.table)
+
+    @cached_property
+    def rows(self) -> tuple[ModFunction, ...]:
+        """The table's rows as ModFunction vertices, built on first access."""
+        return tuple(ModFunction(self.k, tuple(r)) for r in self.table.tolist())
+
+    def _key(self) -> tuple[int, bytes]:
+        return self.k, self.table.tobytes()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class CliqueCertificate:
+class UncheckedCertificate(_Certificate):
+    """A table of the right shape and modulus, adjacency not yet checked."""
+
+
+class CliqueCertificate(_Certificate):
     """A verified clique in G_k.  Construction performs the O(m^2 k) pairwise
     check and refuses any certificate that is not actually a clique."""
 
-    k: int
-    rows: tuple[ModFunction, ...]
-
     def __post_init__(self):
-        rows = _check_rows(self.k, self.rows)
-        object.__setattr__(self, "rows", rows)
-        report = _verification_report(self.k, rows)
+        super().__post_init__()
+        report = _verification_report(self.k, self.table)
         if not report.ok:
             first = report.violations[0]
             raise CertificateError(
@@ -138,10 +160,6 @@ class CliqueCertificate:
                 f"{first.point_a} and {first.point_b} "
                 f"({len(report.violations)} violating pair(s) total)"
             )
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
 
 
 CertificateLike = Union[UncheckedCertificate, CliqueCertificate]
@@ -157,18 +175,17 @@ def _collision_witness(diff_values: Sequence[int], k: int) -> tuple[int, int, in
     raise AssertionError("no collision in a non-bijective difference")
 
 
-def _verification_report(k: int, rows: Sequence[ModFunction]) -> VerificationReport:
-    m = len(rows)
+def _verification_report(k: int, table: np.ndarray) -> VerificationReport:
+    m = len(table)
     if m < 2:
         return VerificationReport(k, m, ())
-    dtype = np.int32 if 2 * k * m < 2**31 else np.int64
-    table = np.asarray([r.values for r in rows], dtype=dtype)
+    table = table.astype(np.int32 if 2 * k * m < 2**31 else np.int64, copy=False)
     # Row t minus row s has entries in (-k, k); shifting row s's block by
     # 2k*s + k drops every difference into the half-open band
     # (2k*s, 2k*(s+1)), residue r landing at in-band offset r or r + k.
     # k entries of a difference row cover all k residue classes iff the
     # difference is a permutation, so a clique shows every class hit.
-    band_base = np.arange(m, dtype=dtype)[:, None] * (2 * k) + k
+    band_base = np.arange(m, dtype=table.dtype)[:, None] * (2 * k) + k
     violations: list[PairViolation] = []
     for t in range(1, m):
         diffs = table[t] - table[:t]
@@ -178,10 +195,7 @@ def _verification_report(k: int, rows: Sequence[ModFunction]) -> VerificationRep
         bands = hit.reshape(t, 2 * k)
         good = (bands[:, :k] | bands[:, k:]).all(axis=1)
         for s in np.nonzero(~good)[0]:
-            row_s, row_t = rows[int(s)].values, rows[t].values
-            a, b, d = _collision_witness(
-                [(x - y) % k for x, y in zip(row_t, row_s)], k
-            )
+            a, b, d = _collision_witness(((table[t] - table[s]) % k).tolist(), k)
             violations.append(PairViolation(int(s), t, a, b, d))
     return VerificationReport(k, m, tuple(violations))
 
@@ -194,18 +208,26 @@ def verify(cert: CertificateLike) -> VerificationReport:
     witness is re-checkable from the certificate alone.  A CliqueCertificate
     already ran this exact check when it was constructed, so its report is
     returned without recomputation; re-check from scratch by wrapping the
-    rows in an UncheckedCertificate.
+    table in an UncheckedCertificate.
     """
     if isinstance(cert, CliqueCertificate):
         return VerificationReport(cert.k, cert.row_count, ())
-    return _verification_report(cert.k, cert.rows)
+    return _verification_report(cert.k, cert.table)
 
 
 def certify(cert: CertificateLike) -> CliqueCertificate:
     """Promote to a verified certificate, raising CertificateError on failure."""
     if isinstance(cert, CliqueCertificate):
         return cert
-    return CliqueCertificate(cert.k, cert.rows)
+    return CliqueCertificate(cert.k, cert.table)
+
+
+def _normal_form(k: int, table: np.ndarray) -> np.ndarray:
+    t = (table - table[0]) % k
+    t = t[:, np.argsort(t[1])]  # the inverse of the bijective row 1
+    t = (t - t[:, :1]) % k
+    tail = t[2:]
+    return np.concatenate((t[:2], tail[np.lexsort(tail.T[::-1])]))
 
 
 def normalize(cert: CliqueCertificate) -> CliqueCertificate:
@@ -219,30 +241,14 @@ def normalize(cert: CliqueCertificate) -> CliqueCertificate:
     """
     if cert.row_count < 2:
         raise CertificateError("normalization needs at least two rows")
-    k = cert.k
-    shifted = [difference(r, cert.rows[0]) for r in cert.rows]
-    sigma = invert_permutation(shifted[1])
-    relabeled = [relabel_domain(r, sigma) for r in shifted]
-    tail = sorted(
-        (add_constant(r, -r.values[0]) for r in relabeled[2:]),
-        key=lambda r: r.values,
-    )
-    rows = (zero_function(k), identity_function(k), *tail)
-    return CliqueCertificate(k, rows)
+    return CliqueCertificate(cert.k, _normal_form(cert.k, cert.table))
 
 
 def is_normalized(cert: CliqueCertificate) -> bool:
     """True iff cert is a fixed point of normalize."""
-    if cert.row_count < 2:
-        return False
-    if cert.rows[0] != zero_function(cert.k):
-        return False
-    if cert.rows[1] != identity_function(cert.k):
-        return False
-    tail = cert.rows[2:]
-    if any(r.values[0] != 0 for r in tail):
-        return False
-    return all(a.values < b.values for a, b in zip(tail, tail[1:]))
+    return cert.row_count >= 2 and np.array_equal(
+        _normal_form(cert.k, cert.table), cert.table
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +258,43 @@ def is_normalized(cert: CliqueCertificate) -> bool:
 def serialize(cert: CertificateLike) -> str:
     """Canonical text form: "k m" header, one row per line, single spaces,
     trailing newline."""
-    lines = [f"{cert.k} {len(cert.rows)}"]
-    lines.extend(str(r) for r in cert.rows)
+    lines = [f"{cert.k} {cert.row_count}"]
+    # row by row: a whole-table tolist() would hold m*k Python ints at once
+    lines.extend(" ".join(map(str, r.tolist())) for r in cert.table)
     return "\n".join(lines) + "\n"
 
 
+_INT = r"[+-]?\d+"
+_INT_ROW = re.compile(rf"\s*{_INT}(?:\s+{_INT})*\s*")
+
+
 def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
-    if not re.fullmatch(r"[+-]?\d+", token):
+    if not re.fullmatch(_INT, token):
         raise CertificateFormatError(f"{what}: {token!r} is not an integer", lineno, column)
     return int(token)
+
+
+def _parse_row(line: str, lineno: int, k: int) -> list[int]:
+    tokens = line.split()
+    if len(tokens) != k:
+        raise CertificateFormatError(
+            f"row must have {k} values, got {len(tokens)}", lineno
+        )
+    if _INT_ROW.fullmatch(line):
+        values = list(map(int, tokens))
+        if min(values) >= 0 and max(values) < k:
+            return values
+    # token by token, so the first bad one is reported with its column
+    values = []
+    for t in re.finditer(r"\S+", line):
+        col = t.start() + 1
+        v = _parse_int(t.group(), lineno, col, "value")
+        if not 0 <= v < k:
+            raise CertificateFormatError(
+                f"value {v} out of range [0, {k})", lineno, col
+            )
+        values.append(v)
+    return values
 
 
 def parse(text: str) -> UncheckedCertificate:
@@ -311,24 +345,8 @@ def parse(text: str) -> UncheckedCertificate:
             f"expected {m} rows, found extra data", body[m][0]
         )
 
-    rows = []
-    for lineno, line in body:
-        toks = list(re.finditer(r"\S+", line))
-        if len(toks) != k:
-            raise CertificateFormatError(
-                f"row must have {k} values, got {len(toks)}", lineno
-            )
-        values = []
-        for t in toks:
-            col = t.start() + 1
-            v = _parse_int(t.group(), lineno, col, "value")
-            if not 0 <= v < k:
-                raise CertificateFormatError(
-                    f"value {v} out of range [0, {k})", lineno, col
-                )
-            values.append(v)
-        rows.append(ModFunction(k, tuple(values)))
-    return UncheckedCertificate(k, tuple(rows))
+    table = [_parse_row(line, lineno, k) for lineno, line in body]
+    return UncheckedCertificate(k, table)
 
 
 def read_certificate(path: str | Path) -> UncheckedCertificate:

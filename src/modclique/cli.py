@@ -39,9 +39,10 @@ from .constructions import (
     lower_bound,
     materialize_bound,
     prime_construction,
+    provenance_label,
     provenance_lines,
 )
-from .core import identity_function, zero_function
+from .core import ModFunction
 from .search import OutcomeKind, SearchConfig, SearchMode, search
 
 EXIT_OK = 0
@@ -67,7 +68,7 @@ def _emit(text: str, out: str | None):
 
 
 def _cert_json(cert) -> dict:
-    return {"k": cert.k, "rows": [list(r.values) for r in cert.rows]}
+    return {"k": cert.k, "rows": cert.table.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +166,14 @@ def _load_seed_rows(path: str, k: int):
     unchecked = _read_cert(path)
     if unchecked.k != k:
         raise ValueError(f"seed file {path} has modulus {unchecked.k}, expected {k}")
-    rows = list(unchecked.rows)
-    if rows and rows[0] == zero_function(k):
+    rows = unchecked.table.tolist()
+    if rows and rows[0] == [0] * k:
         rows = rows[1:]
-    if rows and rows[0] == identity_function(k):
+    if rows and rows[0] == list(range(k)):
         rows = rows[1:]
     if not rows:
         raise ValueError(f"seed file {path} contains no rows beyond zero/identity")
-    return tuple(rows)
+    return tuple(ModFunction(k, tuple(r)) for r in rows)
 
 
 def _cmd_search(args) -> int:
@@ -223,8 +224,8 @@ def _cmd_search(args) -> int:
                 f"FOUND: {outcome.certificate.row_count}-clique in G_{args.k} "
                 f"(nodes={stats.nodes}, {stats.wall_time:.2f}s)"
             )
-            for row in outcome.certificate.rows:
-                print(f"  {row}")
+            for row in outcome.certificate.table.tolist():
+                print("  " + " ".join(map(str, row)))
         return EXIT_OK
     if outcome.kind is OutcomeKind.EXHAUSTED_NONE:
         if not args.json:
@@ -275,15 +276,6 @@ def _provenance_json(report: BoundReport) -> dict:
     }
 
 
-def _provenance_label(report: BoundReport) -> str:
-    prov = report.provenance
-    if isinstance(prov, PrimeConstruction):
-        return f"prime construction (p={prov.p})"
-    if isinstance(prov, StoredCertificate):
-        return f"stored certificate ({prov.m} rows)"
-    return f"product {prov.n} x {prov.m}"
-
-
 def _cmd_bound(args) -> int:
     if (args.k is None) == (args.upto is None):
         return _err("give exactly one of K or --upto K")
@@ -308,19 +300,19 @@ def _cmd_bound(args) -> int:
             for r in reports:
                 print(
                     f"{r.k:>5}  {r.lower_bound:>5}  "
-                    f"{'yes' if r.exact else 'no':>5}  {_provenance_label(r)}"
+                    f"{'yes' if r.exact else 'no':>5}  {provenance_label(r)}"
                 )
         return EXIT_OK
     try:
         report = lower_bound(args.k, registry)
+        witness = materialize_bound(report, registry) if args.materialize else None
     except ValueError as exc:
         return _err(str(exc))
     if args.json:
         print(json.dumps(_provenance_json(report)))
     else:
         print("\n".join(provenance_lines(report)))
-    if args.materialize:
-        witness = materialize_bound(report, registry)
+    if witness is not None:
         Path(args.materialize).write_text(serialize(witness))
         print(
             f"wrote {witness.row_count}-row witness over G_{witness.k} "

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .certificate import (
     CertificateError,
     CliqueCertificate,
@@ -26,9 +28,13 @@ from .certificate import (
     certify,
     parse,
 )
-from .core import ModFunction, validate_modulus
+from .core import validate_modulus
 
-_WORD_BITS = 63  # moduli must stay machine-word sized
+# Largest table (rows x modulus) a construction will build: 8 MiB of int64
+# cells, whose O(m^2 k) verification still takes only seconds.  It admits
+# every prime modulus up to 1021 and bounds k, hence every value, by 2^20,
+# far from int64 overflow in composition and verification.
+MAX_TABLE_CELLS = 1 << 20
 
 
 def smallest_prime_factor(k: int) -> int:
@@ -48,6 +54,15 @@ def is_prime(k: int) -> bool:
     return k >= 2 and smallest_prime_factor(k) == k
 
 
+def check_table_size(m: int, k: int):
+    """Refuse, before allocating, an m x k table over MAX_TABLE_CELLS."""
+    if m * k > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"a {m} x {k} table has {m * k} cells, over the cap of "
+            f"{MAX_TABLE_CELLS}"
+        )
+
+
 def prime_construction(k: int) -> CliqueCertificate:
     """The clique {j -> i*j mod k : 0 <= i < spf(k)}.
 
@@ -56,17 +71,8 @@ def prime_construction(k: int) -> CliqueCertificate:
     """
     validate_modulus(k)
     p = smallest_prime_factor(k)
-    rows = tuple(
-        ModFunction(k, tuple((i * j) % k for j in range(k))) for i in range(p)
-    )
-    return CliqueCertificate(k, rows)
-
-
-def check_composed_modulus(n: int, m: int) -> int:
-    """n*m, provided the product still fits a machine word."""
-    if n.bit_length() + m.bit_length() > _WORD_BITS:
-        raise ValueError(f"composed modulus {n}*{m} exceeds the word size")
-    return n * m
+    check_table_size(p, k)
+    return CliqueCertificate(k, np.outer(np.arange(p), np.arange(k)) % k)
 
 
 def compose(left: CliqueCertificate, right: CliqueCertificate) -> CliqueCertificate:
@@ -77,16 +83,11 @@ def compose(left: CliqueCertificate, right: CliqueCertificate) -> CliqueCertific
     re-verified on construction.
     """
     n, m = left.k, right.k
-    k = check_composed_modulus(n, m)
     s = min(left.row_count, right.row_count)
-    rows = []
-    for t in range(s):
-        f = left.rows[t].values
-        g = right.rows[t].values
-        rows.append(
-            ModFunction(k, tuple(f[i] * m + g[j] for i in range(n) for j in range(m)))
-        )
-    return CliqueCertificate(k, tuple(rows))
+    check_table_size(s, n * m)
+    f, g = left.table[:s], right.table[:s]
+    table = f[:, :, None] * m + g[:, None, :]  # [t, i, j] = f[t][i]*m + g[t][j]
+    return CliqueCertificate(n * m, table.reshape(s, n * m))
 
 
 class CertificateRegistry:
@@ -248,19 +249,23 @@ def _lower_bound_memo(
     return best
 
 
+def provenance_label(report: BoundReport) -> str:
+    """One-line name of the top step of a bound's derivation."""
+    prov = report.provenance
+    if isinstance(prov, PrimeConstruction):
+        return f"prime construction (p={prov.p})"
+    if isinstance(prov, StoredCertificate):
+        return f"stored certificate ({prov.m} rows)"
+    return f"product {prov.n} x {prov.m}"
+
+
 def provenance_lines(report: BoundReport, indent: int = 0) -> list[str]:
     """Plain-text rendering of a bound's derivation tree, one node per line."""
     prov = report.provenance
-    if isinstance(prov, PrimeConstruction):
-        how = f"prime construction (p={prov.p})"
-    elif isinstance(prov, StoredCertificate):
-        how = f"stored certificate ({prov.m} rows)"
-    else:
-        how = f"product {prov.n} x {prov.m}"
     tag = " (exact)" if report.exact else ""
     lines = [
         f"{'  ' * indent}G_{report.k}: clique number >= "
-        f"{report.lower_bound}{tag} via {how}"
+        f"{report.lower_bound}{tag} via {provenance_label(report)}"
     ]
     if isinstance(prov, Product):
         lines.extend(provenance_lines(prov.left, indent + 1))

@@ -1,10 +1,12 @@
 """Functions Z_k -> Z_k as residue vectors, and the bijective-difference edge test.
 
 G_k is the graph whose vertices are all k^k functions f : Z_k -> Z_k, with
-{f, g} an edge exactly when (f - g) mod k is a bijection of Z_k.  Everything
-else in this package (certificates, constructions, search) is built on the
-three operations here: bijection testing, pointwise difference, and the edge
-predicate.
+{f, g} an edge exactly when (f - g) mod k is a bijection of Z_k.
+``ModFunction`` is the vertex type: the brute-force oracle, search seeds and
+the edge predicate work on it.  The operations here are bijection testing,
+pointwise difference and the edge predicate.  Certificates store their rows
+as one integer table instead (see ``certificate``) and build ModFunction
+rows only on request.
 """
 
 from __future__ import annotations
@@ -113,41 +115,3 @@ def is_edge(f: ModFunction, g: ModFunction) -> bool:
             return False
         seen[d] = 1
     return True
-
-
-def pointwise_add(f: ModFunction, g: ModFunction) -> ModFunction:
-    """(f + g) mod k, pointwise.  Translating both endpoints of an edge by the
-    same h leaves the difference, hence adjacency, unchanged."""
-    _require_same_modulus(f, g)
-    k = f.k
-    return ModFunction(k, tuple((a + b) % k for a, b in zip(f.values, g.values)))
-
-
-def add_constant(f: ModFunction, c: int) -> ModFunction:
-    """(f + c) mod k.  A constant shift of one endpoint preserves adjacency."""
-    k = f.k
-    c = int(c) % k
-    return ModFunction(k, tuple((v + c) % k for v in f.values))
-
-
-def relabel_domain(f: ModFunction, sigma: Iterable[int]) -> ModFunction:
-    """f composed with a domain permutation sigma: j -> f(sigma(j)).
-
-    sigma must be a permutation of {0, ..., k-1}; relabeling both endpoints
-    of a pair permutes the multiset of differences, so adjacency is invariant.
-    """
-    k = f.k
-    s = tuple(sigma)
-    if not is_bijection(ModFunction(k, s)):
-        raise ValueError("domain relabeling must be a permutation of 0..k-1")
-    return ModFunction(k, tuple(f.values[s[j]] for j in range(k)))
-
-
-def invert_permutation(f: ModFunction) -> tuple[int, ...]:
-    """Inverse of a bijective ModFunction, as a value tuple."""
-    if not is_bijection(f):
-        raise ValueError("cannot invert a non-bijection")
-    inv = [0] * f.k
-    for x, v in enumerate(f.values):
-        inv[v] = x
-    return tuple(inv)

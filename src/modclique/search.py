@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, TextIO
 
-from .certificate import CliqueCertificate, UncheckedCertificate, certify
-from .core import ModFunction, identity_function, validate_modulus, zero_function
+from .certificate import CliqueCertificate
+from .core import ModFunction, validate_modulus
 
 
 class SearchMode(Enum):
@@ -117,11 +117,7 @@ class SearchConfig:
                         "seed rows must be strictly increasing lexicographically"
                     )
             # seeds must extend {zero, identity} to a verified clique
-            certify(
-                UncheckedCertificate(
-                    self.k, (zero_function(self.k), identity_function(self.k), *seeds)
-                )
-            )
+            _build_certificate(self.k, seeds, ())
         return replace(self, seed_rows=seeds)
 
 
@@ -341,13 +337,8 @@ def column_candidates(
 def _build_certificate(
     k: int, seeds: Sequence[ModFunction], witness: Sequence[Sequence[int]]
 ) -> CliqueCertificate:
-    rows = (
-        zero_function(k),
-        identity_function(k),
-        *seeds,
-        *(ModFunction(k, tuple(v)) for v in witness),
-    )
-    return certify(UncheckedCertificate(k, rows))
+    table = [[0] * k, list(range(k)), *(r.values for r in seeds), *witness]
+    return CliqueCertificate(k, table)
 
 
 def _restart_orders(k: int, size: int, base: int, rng_seed: int, restart: int):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-CERTS_DIR = REPO_ROOT / "certs"
+CERTS_DIR = REPO_ROOT / "src" / "modclique" / "certs"
 
 # the three bundled 4-cliques, row by row
 K15_ROWS = (

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from modclique import (
@@ -17,12 +18,12 @@ from modclique import (
     verify,
     zero_function,
 )
-from modclique.certificate import BUILTIN_MODULI
 
 from conftest import (
     CERTS_DIR,
     K21_NORMALIZED_ROW2,
     K21_NORMALIZED_ROW3,
+    K15_ROWS,
     K21_ROW2,
 )
 
@@ -113,6 +114,60 @@ class TestTypedStates:
     def test_empty_certificate_rejected(self):
         with pytest.raises(CertificateError):
             UncheckedCertificate(5, ())
+
+
+class TestTable:
+    def test_table_is_read_only(self, k15_cert):
+        assert k15_cert.table.dtype == np.int64
+        assert k15_cert.table.shape == (4, 15)
+        assert not k15_cert.table.flags.writeable
+        with pytest.raises(ValueError):
+            k15_cert.table[2, 1] = 0
+
+    def test_source_array_changes_do_not_reach_the_certificate(self):
+        source = np.array(K15_ROWS)
+        cert = CliqueCertificate(15, source)
+        unchecked = UncheckedCertificate(15, source)
+        source[2, 1] = source[2, 2]  # rows 0 and 2 are no longer adjacent
+        for c in (cert, unchecked):
+            assert c.table.tolist() == [list(r) for r in K15_ROWS]
+        assert verify(cert).ok  # the no-recheck shortcut stays sound
+        assert verify(unchecked).ok
+        assert verify(UncheckedCertificate(15, cert.table)).ok
+
+    def test_equal_text_gives_equal_hashable_certificates(self, k21_cert):
+        text = serialize(k21_cert)
+        a, b = parse(text), parse(text)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert certify(a) == certify(b) == k21_cert
+        assert hash(certify(a)) == hash(k21_cert)
+        assert a != certify(a)  # an unchecked and a verified state never compare equal
+        assert a != parse(serialize(normalize(k21_cert)))
+
+    def test_rows_are_built_once_from_the_table(self, k15_cert):
+        assert k15_cert.rows is k15_cert.rows
+        assert [r.values for r in k15_cert.rows] == list(K15_ROWS)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0.0, 1.0, 2.0]],  # float
+            [[False, True, True]],  # bool
+            [[0, 1, 2], [0, 1]],  # ragged
+            [[0, 1, 3]],  # value k
+            [[0, -1, 2]],  # negative value
+            [[0, 1, 2**70]],  # beyond int64
+            [[0, 1]],  # wrong width
+            [0, 1, 2],  # one-dimensional
+            [],  # no rows
+        ],
+    )
+    def test_rejects_bad_tables(self, table):
+        with pytest.raises(CertificateError):
+            UncheckedCertificate(3, table)
+        with pytest.raises(CertificateError):
+            CliqueCertificate(3, table)
 
 
 class TestNormalize:
@@ -234,13 +289,6 @@ class TestFileHelpers:
 
 
 class TestBundledData:
-    def test_repo_files_match_package_data(self):
-        from importlib import resources
-
-        for k in BUILTIN_MODULI:
-            packaged = (resources.files("modclique") / "certs" / f"k{k}.cert").read_text()
-            assert packaged == (CERTS_DIR / f"k{k}.cert").read_text()
-
     def test_unknown_modulus(self):
         with pytest.raises(KeyError):
             builtin_certificate(13)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,20 @@ class TestGen:
     def test_bad_modulus(self, capsys):
         code, _, err = run(capsys, "gen", "-k", "1")
         assert code == 2
+
+
+class TestTableCap:
+    @pytest.mark.parametrize(
+        "argv", [("gen", "-k", "20011", "-o"), ("bound", "20011", "--materialize")]
+    )
+    def test_oversized_table_refused_fast(self, capsys, tmp_path, argv):
+        out = tmp_path / "big.cert"
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv, str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "over the cap" in err
+        assert not out.exists()
 
 
 class TestCompose:

@@ -91,12 +91,18 @@ class TestCompose:
                     assert q[i * m + j] % m == right.rows[t][j]
                     assert (q[i * m + j] - right.rows[t][j]) // m == left.rows[t][i]
 
-    def test_word_size_guard(self):
-        from modclique.constructions import check_composed_modulus
+    def test_table_size_guard(self):
+        from modclique.constructions import MAX_TABLE_CELLS, check_table_size
 
-        assert check_composed_modulus(3, 5) == 15
-        with pytest.raises(ValueError):
-            check_composed_modulus(2**32, 2**32)
+        check_table_size(4, MAX_TABLE_CELLS // 4)
+        with pytest.raises(ValueError, match="cap"):
+            check_table_size(2**32, 2**32)  # the old word-size limit is far beyond the cap
+        with pytest.raises(ValueError, match="cap"):
+            prime_construction(20011)  # a 20011 x 20011 table, refused before allocation
+        wide = prime_construction(MAX_TABLE_CELLS // 2)  # 2 rows, exactly at the cap
+        assert wide.row_count * wide.k == MAX_TABLE_CELLS
+        with pytest.raises(ValueError, match="cap"):
+            compose(wide, prime_construction(3))
 
 
 class TestRegistry:

@@ -13,14 +13,13 @@ from modclique import (
     CliqueCertificate,
     ModFunction,
     UncheckedCertificate,
-    add_constant,
     compose,
     is_edge,
+    is_normalized,
+    mod_function,
     normalize,
     parse,
-    pointwise_add,
     prime_construction,
-    relabel_domain,
     serialize,
     verify,
 )
@@ -53,32 +52,25 @@ def verified_certificates(draw, max_k: int = 12):
     if cert.k <= 6 and draw(st.booleans()):
         cert = compose(cert, prime_construction(draw(st.integers(2, 5))))
     k, m = cert.k, cert.row_count
-    translation = ModFunction(
-        k, tuple(draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k)))
-    )
+    translation = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
     sigma = tuple(draw(st.permutations(range(k))))
     constants = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
     order = draw(st.permutations(range(m)))
-    rows = tuple(
-        relabel_domain(
-            add_constant(pointwise_add(cert.rows[i], translation), constants[i]), sigma
-        )
-        for i in order
-    )
-    return CliqueCertificate(k, rows)
+    rows = cert.table.tolist()
+    table = [
+        [(rows[i][x] + translation[x] + constants[i]) % k for x in sigma] for i in order
+    ]
+    return CliqueCertificate(k, table)
 
 
 @st.composite
 def unchecked_certificates(draw, max_k: int = 9):
     k = draw(st.integers(2, max_k))
     m = draw(st.integers(1, 5))
-    rows = tuple(
-        ModFunction(
-            k, tuple(draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k)))
-        )
-        for _ in range(m)
-    )
-    return UncheckedCertificate(k, rows)
+    table = [
+        draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k)) for _ in range(m)
+    ]
+    return UncheckedCertificate(k, table)
 
 
 @CASES
@@ -91,15 +83,16 @@ def test_edge_symmetry(family):
 @CASES
 @given(function_family(3))
 def test_translation_invariance(family):
-    _, f, g, h = family
-    assert is_edge(pointwise_add(f, h), pointwise_add(g, h)) == is_edge(f, g)
+    k, f, g, h = family
+    fh, gh = (mod_function(k, (a + b for a, b in zip(r, h))) for r in (f, g))
+    assert is_edge(fh, gh) == is_edge(f, g)
 
 
 @CASES
 @given(function_family(2), st.integers(-30, 30))
 def test_constant_shift_invariance(family, c):
-    _, f, g = family
-    assert is_edge(add_constant(f, c), g) == is_edge(f, g)
+    k, f, g = family
+    assert is_edge(mod_function(k, (v + c for v in f)), g) == is_edge(f, g)
 
 
 @CASES
@@ -107,7 +100,8 @@ def test_constant_shift_invariance(family, c):
 def test_domain_relabeling_invariance(family, data):
     k, f, g = family
     sigma = tuple(data.draw(st.permutations(range(k))))
-    assert is_edge(relabel_domain(f, sigma), relabel_domain(g, sigma)) == is_edge(f, g)
+    f_sigma, g_sigma = (ModFunction(k, tuple(r[x] for x in sigma)) for r in (f, g))
+    assert is_edge(f_sigma, g_sigma) == is_edge(f, g)
 
 
 @CASES
@@ -124,6 +118,28 @@ def test_normalize_preserves_validity_and_shape(cert):
 def test_normalize_idempotent(cert):
     once = normalize(cert)
     assert normalize(once).rows == once.rows
+
+
+def naive_normalize(k, rows):
+    """Per-row reference for normalize: subtract row 0, relabel the domain by
+    the inverse of row 1, shift each later row to vanish at 0, sort them."""
+    shifted = [[(a - b) % k for a, b in zip(r, rows[0])] for r in rows]
+    inverse = [0] * k
+    for x, v in enumerate(shifted[1]):
+        inverse[v] = x
+    relabeled = [[r[inverse[j]] for j in range(k)] for r in shifted]
+    tail = sorted([(v - r[0]) % k for v in r] for r in relabeled[2:])
+    return [relabeled[0], relabeled[1], *tail]
+
+
+@CASES
+@given(verified_certificates())
+def test_normalize_matches_naive_reference(cert):
+    expected = naive_normalize(cert.k, cert.table.tolist())
+    normalized = normalize(cert)
+    assert normalized.table.tolist() == expected
+    assert is_normalized(normalized)
+    assert is_normalized(cert) == (cert.table.tolist() == expected)
 
 
 @CASES
@@ -192,6 +208,7 @@ PROPERTIES = [
     test_domain_relabeling_invariance,
     test_normalize_preserves_validity_and_shape,
     test_normalize_idempotent,
+    test_normalize_matches_naive_reference,
     test_compose_projection_identities,
     test_verify_matches_pairwise_edge_predicate,
     test_serialize_parse_round_trip,

@@ -186,6 +186,8 @@ def _cmd_search(args) -> int:
             return _err(str(exc))
         except (ValueError, CertificateFormatError) as exc:
             return _err(str(exc))
+    if args.workers < 1:
+        return _err("worker count must be at least 1")
     config = SearchConfig(
         k=args.k,
         target_size=args.size,
@@ -194,7 +196,6 @@ def _cmd_search(args) -> int:
         restarts=args.restarts,
         rng_seed=args.rand_seed,
         seed_rows=seeds,
-        worker_count=args.workers,
         progress_interval=args.progress,
         progress_stream=sys.stderr if args.progress else None,
     )
@@ -403,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rand-seed", type=int, default=0)
     p.add_argument("--seed", default=None, metavar="PATH",
                    help="certificate file whose non-trivial rows are fixed as rows 2..")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, metavar="W",
+                   help="accepted for old command lines and ignored: search runs "
+                        "on one thread, as threads gave no speedup")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the found witness here")
     p.add_argument("--progress", type=float, default=None, metavar="SECONDS",

@@ -15,6 +15,8 @@ replays that tree back into an explicit certificate.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -37,21 +39,104 @@ from .core import validate_modulus
 MAX_TABLE_CELLS = 1 << 20
 
 
-def smallest_prime_factor(k: int) -> int:
-    """Least prime dividing k, by trial division."""
+# factorize trial-divides by the primes below _TRIAL_LIMIT; what is left
+# (the cofactor) is split by Miller-Rabin and Pollard rho only below
+# MAX_COFACTOR.  There the Miller-Rabin bases are exact, and rho finds the
+# smallest prime factor, at most 2^32, in about 2^16 steps.
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = [
+    p for p in range(2, _TRIAL_LIMIT) if all(p % q for q in range(2, math.isqrt(p) + 1))
+]
+MAX_COFACTOR = 1 << 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime_cofactor(n: int) -> bool:
+    """Miller-Rabin for odd n > 37 with the first twelve prime bases; exact
+    for n < 3 * 10^23, hence for every n < MAX_COFACTOR."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A nontrivial divisor of the odd composite n: Pollard rho with Brent's
+    cycle detection, taking gcds over batches of 64 steps."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(64, r - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                done += 64
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorize(k: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of k as (prime, exponent) pairs, primes
+    increasing.  Raises ValueError when the part of k without prime factors
+    below 1000 is not below MAX_COFACTOR."""
     validate_modulus(k)
-    if k % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= k:
-        if k % d == 0:
-            return d
-        d += 2
-    return k
+    factors: dict[int, int] = {}
+    n = k
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    if n >= MAX_COFACTOR:
+        raise ValueError(
+            f"cannot factor modulus {k}: its part without prime factors below "
+            f"{_TRIAL_LIMIT} is not below 2^64"
+        )
+    pending = [n] if n > 1 else []
+    while pending:
+        n = pending.pop()
+        # every prime p < _TRIAL_LIMIT with p * p <= n is divided out, so an
+        # n below _TRIAL_LIMIT**2 is prime
+        if n < _TRIAL_LIMIT**2 or _is_prime_cofactor(n):
+            factors[n] = factors.get(n, 0) + 1
+        else:
+            d = _rho_divisor(n)
+            pending += [d, n // d]
+    return tuple(sorted(factors.items()))
+
+
+def smallest_prime_factor(k: int) -> int:
+    """Least prime dividing k."""
+    return factorize(k)[0][0]
 
 
 def is_prime(k: int) -> bool:
-    return k >= 2 and smallest_prime_factor(k) == k
+    return k >= 2 and factorize(k) == ((k, 1),)
 
 
 def check_table_size(m: int, k: int):
@@ -205,48 +290,50 @@ def lower_bound(k: int, registry: CertificateRegistry | None = None) -> BoundRep
     Product is presented binding-side first (the factor whose bound equals
     the min comes first, matching the composition order used on replay).
     """
-    validate_modulus(k)
+    factors = factorize(k)
     if registry is None:
         registry = CertificateRegistry.builtin()
+    primes = [p for p, _ in factors]
+    # every node of the DP divides k, so k's divisors hold each node's own
+    divisors = [1]
+    for p, e in factors:
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    divisors.sort()
     memo: dict[int, BoundReport] = {}
-    return _lower_bound_memo(k, registry, memo)
 
-
-def _lower_bound_memo(
-    k: int, registry: CertificateRegistry, memo: dict[int, BoundReport]
-) -> BoundReport:
-    got = memo.get(k)
-    if got is not None:
-        return got
-    exact = k % 2 == 0 or is_prime(k)
-    p = smallest_prime_factor(k)
-    candidates = [BoundReport(k, p, PrimeConstruction(p), exact)]
-    stored = registry.get(k)
-    if stored is not None:
-        candidates.append(
-            BoundReport(k, stored.row_count, StoredCertificate(k, stored.row_count), exact)
-        )
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            a, b = d, k // d
-            ra = _lower_bound_memo(a, registry, memo)
-            rb = _lower_bound_memo(b, registry, memo)
+    def best(n: int) -> BoundReport:
+        got = memo.get(n)
+        if got is not None:
+            return got
+        p = next(q for q in primes if n % q == 0)
+        exact = p == 2 or p == n
+        candidates = [BoundReport(n, p, PrimeConstruction(p), exact)]
+        stored = registry.get(n)
+        if stored is not None:
+            candidates.append(
+                BoundReport(n, stored.row_count, StoredCertificate(n, stored.row_count), exact)
+            )
+        for d in divisors[1:]:
+            if d * d > n:
+                break
+            if n % d:
+                continue
+            ra, rb = best(d), best(n // d)
             # binding side (smaller bound) first; tie -> smaller modulus
             if (rb.lower_bound, rb.k) < (ra.lower_bound, ra.k):
                 ra, rb = rb, ra
             candidates.append(
                 BoundReport(
-                    k,
+                    n,
                     min(ra.lower_bound, rb.lower_bound),
                     Product(ra.k, rb.k, ra, rb),
                     exact,
                 )
             )
-        d += 1
-    best = min(candidates, key=_candidate_key)
-    memo[k] = best
-    return best
+        memo[n] = min(candidates, key=_candidate_key)
+        return memo[n]
+
+    return best(k)
 
 
 def provenance_label(report: BoundReport) -> str:

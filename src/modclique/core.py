@@ -28,8 +28,7 @@ def validate_modulus(k: int) -> int:
 class ModFunction:
     """A function Z_k -> Z_k stored as its k values, each reduced into [0, k).
 
-    Immutable and hashable, so instances can serve as dict keys and be shared
-    freely across worker threads.
+    Immutable and hashable, so instances can serve as dict keys.
     """
 
     k: int

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import random
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, TextIO
@@ -83,7 +81,6 @@ class SearchConfig:
     restarts: int = 1
     rng_seed: int = 0
     seed_rows: tuple[ModFunction, ...] | None = None
-    worker_count: int = 1
     progress_interval: float | None = None
     progress_stream: TextIO | None = None
 
@@ -95,8 +92,6 @@ class SearchConfig:
             raise ValueError("node limit must be positive")
         if self.restarts < 1:
             raise ValueError("restart count must be at least 1")
-        if self.worker_count < 1:
-            raise ValueError("worker count must be at least 1")
         seeds = tuple(self.seed_rows or ())
         if seeds:
             if len(seeds) > self.target_size - 2:
@@ -122,27 +117,11 @@ class SearchConfig:
 
 
 # internal DFS verdicts
-_FOUND, _EXHAUSTED, _LIMIT, _STOPPED = range(4)
-
-
-class _SharedBudget:
-    """Node budget shared by parallel workers; checks are batched so the
-    total may overshoot by a few hundred nodes per worker."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.total = 0
-        self._lock = threading.Lock()
-
-    def consume(self, n: int) -> bool:
-        """Register n nodes; True once the budget is exhausted."""
-        with self._lock:
-            self.total += n
-            return self.total >= self.limit
+_FOUND, _EXHAUSTED, _LIMIT = range(3)
 
 
 class _Engine:
-    """Backtracking state for one worker: one mutable grid, per-pair used
+    """Backtracking state for one pass: one mutable grid, per-pair used
     difference bitmasks, and lexicographic tie tracking between consecutive
     rows.  Column 0 is pre-assigned: every row vanishes there, so every pair
     starts with difference 0 consumed."""
@@ -173,8 +152,6 @@ class _Engine:
         self.max_depth = 0
         self.value_orders: dict[tuple[int, int], list[int]] | None = None
         self.node_budget: int | None = None
-        self.shared_budget: _SharedBudget | None = None
-        self.stop_event: threading.Event | None = None
         self.progress_interval: float | None = None
         self.progress_stream: TextIO | None = None
         self.progress_label = ""
@@ -219,28 +196,22 @@ class _Engine:
         if cleared_tie:
             self.tied[t] = True
 
-    def _interrupted(self) -> bool:
-        """Batched budget/stop/progress bookkeeping; True to abandon the run."""
-        delta = self.nodes - self._last_sync
-        if delta < 256:
-            return False
+    def _report_progress(self):
+        """Print a progress line if the interval has passed; the clock is
+        read at most once per 256 nodes."""
+        if self.nodes - self._last_sync < 256:
+            return
         self._last_sync = self.nodes
-        if self.stop_event is not None and self.stop_event.is_set():
-            return True
-        if self.shared_budget is not None and self.shared_budget.consume(delta):
-            return True
-        if self.progress_interval is not None:
-            now = time.perf_counter()
-            if now - self._last_progress >= self.progress_interval:
-                self._last_progress = now
-                stream = self.progress_stream or sys.stderr
-                stream.write(
-                    f"progress{self.progress_label}: nodes={self.nodes} "
-                    f"depth={self.max_depth}/{self.ncells} "
-                    f"elapsed={now - self._started:.1f}s\n"
-                )
-                stream.flush()
-        return False
+        now = time.perf_counter()
+        if now - self._last_progress >= self.progress_interval:
+            self._last_progress = now
+            stream = self.progress_stream or sys.stderr
+            stream.write(
+                f"progress{self.progress_label}: nodes={self.nodes} "
+                f"depth={self.max_depth}/{self.ncells} "
+                f"elapsed={now - self._started:.1f}s\n"
+            )
+            stream.flush()
 
     def _values(self, ci: int, allowed: int) -> list[int]:
         if self.value_orders is None:
@@ -253,16 +224,13 @@ class _Engine:
             return values
         return [v for v in self.value_orders[self.cells[ci]] if (allowed >> v) & 1]
 
-    def run(self, start_ci: int = 0) -> int:
-        """Depth-first search from cell start_ci with an explicit stack, so
+    def run(self) -> int:
+        """Depth-first search of the whole tree with an explicit stack, so
         depth is bounded by the cell count, not the interpreter's recursion
         limit.  Value order and node accounting match a plain recursive DFS:
-        one node per value tried, counted before the budget checks."""
-        if start_ci == self.ncells:
-            self.witness = tuple(tuple(r) for r in self.rows[self.base :])
-            return _FOUND
+        one node per value tried, counted before the budget check."""
         # frame: [ci, candidate values, next index, assigned value, tie undo]
-        stack = [[start_ci, self._values(start_ci, self.allowed_mask(start_ci)), 0, None, False]]
+        stack = [[0, self._values(0, self.allowed_mask(0)), 0, None, False]]
         result = _EXHAUSTED
         while stack:
             frame = stack[-1]
@@ -280,9 +248,8 @@ class _Engine:
             if self.node_budget is not None and self.nodes > self.node_budget:
                 result = _LIMIT
                 break
-            if self._interrupted():
-                result = _STOPPED if self.shared_budget is None else _LIMIT
-                break
+            if self.progress_interval is not None:
+                self._report_progress()
             if ci >= self.max_depth:
                 self.max_depth = ci + 1
             frame[4] = self.assign(ci, v)
@@ -352,47 +319,14 @@ def _restart_orders(k: int, size: int, base: int, rng_seed: int, restart: int):
     return orders
 
 
-def _frontier(engine_factory, worker_count: int):
-    """Expand the top of the tree breadth-first into independent subtree
-    prefixes, one list of cell values each.  Returns (prefixes, nodes, done)
-    where done is a finished verdict reached during expansion, if any."""
-    probe = engine_factory()
-    if probe.ncells == 0:
-        return [()], 0, None
-    target = max(4 * worker_count, worker_count)
-    prefixes: list[tuple[int, ...]] = [()]
-    depth = 0
-    nodes = 0
-    while depth < probe.ncells and len(prefixes) < target:
-        extended = []
-        for p in prefixes:
-            eng = engine_factory()
-            for ci, v in enumerate(p):
-                eng.assign(ci, v)
-            mask = eng.allowed_mask(depth)
-            m = mask
-            while m:
-                b = m & -m
-                extended.append(p + (b.bit_length() - 1,))
-                m ^= b
-            nodes += bin(mask).count("1")
-        if not extended:
-            return [], nodes, _EXHAUSTED
-        prefixes = extended
-        depth += 1
-    if depth == probe.ncells:
-        # the whole tree fit inside the frontier: any prefix is a witness
-        return prefixes, nodes, _FOUND
-    return prefixes, nodes, None
-
-
 def search(config: SearchConfig) -> SearchOutcome:
     """Run the configured search and return a verdict with statistics.
 
     Found certificates are rebuilt and re-verified through the certificate
-    module, never trusted from search state.  ExhaustedNone is a proof of
-    nonexistence for the whole graph; it is only ever produced in exhaustive
-    mode, with no node limit hit and no seed rows.
+    module, never trusted from search state.  A pass that walks the whole
+    tree without hitting its budget proves nonexistence in either mode: the
+    set of nodes does not depend on value order.  That verdict is
+    ExhaustedNone without seed rows, ExhaustedNoneUnderSeed with them.
     """
     config = config.validated()
     k, size = config.k, config.target_size
@@ -410,126 +344,33 @@ def search(config: SearchConfig) -> SearchOutcome:
         cert = _build_certificate(k, seeds, ())
         return finish(OutcomeKind.FOUND, cert, 0, 0)
 
-    def make_engine() -> _Engine:
-        eng = _Engine(k, size, [s.values for s in seeds])
-        eng.progress_interval = config.progress_interval
-        eng.progress_stream = config.progress_stream
-        return eng
-
     exhausted_kind = (
         OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if seeds else OutcomeKind.EXHAUSTED_NONE
     )
-
+    # exhaustive: one pass in natural value order; first-found: ``restarts``
+    # passes in seeded random value orders, splitting the budget evenly
     if config.mode is SearchMode.EXHAUSTIVE:
-        if config.worker_count == 1:
-            eng = make_engine()
-            eng.node_budget = config.node_limit
-            res = eng.run()
-            if res == _FOUND:
-                cert = _build_certificate(k, seeds, eng.witness)
-                return finish(OutcomeKind.FOUND, cert, eng.nodes, eng.max_depth)
-            if res == _EXHAUSTED:
-                return finish(exhausted_kind, None, eng.nodes, eng.max_depth)
-            return finish(OutcomeKind.LIMIT_REACHED, None, eng.nodes, eng.max_depth)
-        return _parallel_exhaustive(
-            config, make_engine, seeds, exhausted_kind, finish
-        )
-
-    # first-found: randomized value order, restart on per-pass budget
-    per_budget = (
-        None if config.node_limit is None else max(1, config.node_limit // config.restarts)
-    )
-
-    def run_restart(idx: int, stop: threading.Event | None):
-        eng = make_engine()
-        eng.value_orders = _restart_orders(k, size, base, config.rng_seed, idx)
-        eng.node_budget = per_budget
-        eng.stop_event = stop
-        eng.progress_label = f" restart={idx}"
-        res = eng.run()
-        return res, eng
+        passes, budget = 1, config.node_limit
+    else:
+        passes = config.restarts
+        budget = None if config.node_limit is None else max(1, config.node_limit // passes)
 
     total_nodes = 0
     depth = 0
-    if config.worker_count == 1:
-        for idx in range(config.restarts):
-            res, eng = run_restart(idx, None)
-            total_nodes += eng.nodes
-            depth = max(depth, eng.max_depth)
-            if res == _FOUND:
-                cert = _build_certificate(k, seeds, eng.witness)
-                return finish(OutcomeKind.FOUND, cert, total_nodes, depth, idx + 1)
-        return finish(
-            OutcomeKind.LIMIT_REACHED, None, total_nodes, depth, config.restarts
-        )
-
-    stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-        futures = [pool.submit(run_restart, i, stop) for i in range(config.restarts)]
-        winner = None
-        used = 0
-        for fut in futures:
-            res, eng = fut.result()
-            total_nodes += eng.nodes
-            depth = max(depth, eng.max_depth)
-            if res != _STOPPED:
-                used += 1
-            if res == _FOUND and winner is None:
-                winner = eng.witness
-                stop.set()
-        if winner is not None:
-            cert = _build_certificate(k, seeds, winner)
-            return finish(OutcomeKind.FOUND, cert, total_nodes, depth, used)
-        return finish(OutcomeKind.LIMIT_REACHED, None, total_nodes, depth, used)
-
-
-def _parallel_exhaustive(config, make_engine, seeds, exhausted_kind, finish):
-    k = config.k
-    prefixes, expansion_nodes, early = _frontier(make_engine, config.worker_count)
-    if early == _EXHAUSTED:
-        return finish(exhausted_kind, None, expansion_nodes, 0)
-    if early == _FOUND:
-        eng = make_engine()
-        for ci, v in enumerate(prefixes[0]):
-            eng.assign(ci, v)
-        cert = _build_certificate(k, seeds, eng.rows[eng.base :])
-        return finish(OutcomeKind.FOUND, cert, expansion_nodes, eng.ncells)
-
-    stop = threading.Event()
-    budget = None
-    if config.node_limit is not None:
-        budget = _SharedBudget(max(1, config.node_limit - expansion_nodes))
-
-    def run_prefix(prefix):
-        eng = make_engine()
-        for ci, v in enumerate(prefix):
-            eng.assign(ci, v)
-        eng.stop_event = stop
-        eng.shared_budget = budget
-        res = eng.run(len(prefix))
-        return res, eng
-
-    total_nodes = expansion_nodes
-    depth = 0
-    witness = None
-    limit_hit = False
-    with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-        futures = [pool.submit(run_prefix, p) for p in prefixes]
-        for fut in futures:
-            res, eng = fut.result()
-            total_nodes += eng.nodes
-            depth = max(depth, eng.max_depth)
-            if res == _FOUND and witness is None:
-                witness = eng.witness
-                stop.set()
-            elif res == _LIMIT:
-                limit_hit = True
-                stop.set()
-            elif res == _STOPPED:
-                limit_hit = True
-    if witness is not None:
-        cert = _build_certificate(k, seeds, witness)
-        return finish(OutcomeKind.FOUND, cert, total_nodes, depth)
-    if limit_hit:
-        return finish(OutcomeKind.LIMIT_REACHED, None, total_nodes, depth)
-    return finish(exhausted_kind, None, total_nodes, depth)
+    for idx in range(passes):
+        eng = _Engine(k, size, [s.values for s in seeds])
+        eng.node_budget = budget
+        eng.progress_interval = config.progress_interval
+        eng.progress_stream = config.progress_stream
+        if config.mode is SearchMode.FIRST_FOUND:
+            eng.value_orders = _restart_orders(k, size, base, config.rng_seed, idx)
+            eng.progress_label = f" restart={idx}"
+        res = eng.run()
+        total_nodes += eng.nodes
+        depth = max(depth, eng.max_depth)
+        if res == _FOUND:
+            cert = _build_certificate(k, seeds, eng.witness)
+            return finish(OutcomeKind.FOUND, cert, total_nodes, depth, idx + 1)
+        if res == _EXHAUSTED:
+            return finish(exhausted_kind, None, total_nodes, depth, idx + 1)
+    return finish(OutcomeKind.LIMIT_REACHED, None, total_nodes, depth, passes)

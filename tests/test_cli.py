@@ -83,7 +83,12 @@ class TestGen:
 
 class TestTableCap:
     @pytest.mark.parametrize(
-        "argv", [("gen", "-k", "20011", "-o"), ("bound", "20011", "--materialize")]
+        "argv",
+        [
+            ("gen", "-k", "20011", "-o"),
+            ("gen", "-k", str(2**61 - 1), "-o"),
+            ("bound", "20011", "--materialize"),
+        ],
     )
     def test_oversized_table_refused_fast(self, capsys, tmp_path, argv):
         out = tmp_path / "big.cert"
@@ -183,6 +188,31 @@ class TestSearch:
         assert code1 == code2 == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_workers_flag_is_checked_and_ignored(self, capsys):
+        args = ("search", "-k", "9", "-s", "4", "--json")
+        payloads = []
+        for workers in ("1", "2"):
+            code, out, err = run(capsys, *args, "--workers", workers)
+            assert code == 1 and err == ""
+            payload = json.loads(out)
+            payload.pop("wall_time")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        code, out, err = run(capsys, *args, "--workers", "0")
+        assert code == 2 and out == ""
+        assert err == "error: worker count must be at least 1\n"
+
+    def test_first_found_exhaustion_is_a_verdict(self, capsys):
+        code, out, _ = run(
+            capsys, "search", "-k", "9", "-s", "4", "--first-found",
+            "--restarts", "3", "--json",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["outcome"] == "exhausted-none"
+        assert payload["nodes"] == 84_703
+        assert payload["restarts_used"] == 1
+
     def test_bad_seed_file(self, capsys, tmp_path):
         seed_path = tmp_path / "seed.cert"
         seed_path.write_text("15 1\n" + " ".join(["1"] + ["0"] * 14) + "\n")
@@ -241,6 +271,23 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "15", "--registry", str(CERTS_DIR))
         assert code == 0
         assert ">= 4" in out
+
+    @pytest.mark.parametrize(
+        "k,bound,exact", [(2**61 - 1, 2**61 - 1, True), (3 * (2**61 - 1), 3, False)]
+    )
+    def test_large_modulus_is_fast(self, capsys, k, bound, exact):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "bound", str(k), "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["lower_bound"], payload["exact"]) == (bound, exact)
+
+    def test_unfactorable_modulus_refused(self, capsys):
+        # 2^64 + 13 is prime, so nothing below 1000 divides it
+        code, out, err = run(capsys, "bound", str(2**64 + 13))
+        assert code == 2 and out == ""
+        assert "cannot factor" in err
 
     def test_requires_exactly_one_form(self, capsys):
         code, _, err = run(capsys, "bound")

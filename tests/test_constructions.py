@@ -18,6 +18,8 @@ from modclique import (
     zero_function,
 )
 
+from modclique.constructions import factorize, is_prime
+
 from conftest import CERTS_DIR
 
 
@@ -31,6 +33,33 @@ class TestSmallestPrimeFactor:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             smallest_prime_factor(1)
+
+    def test_agrees_with_trial_division(self):
+        for k in range(2, 10_001):
+            spf = next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
+            assert smallest_prime_factor(k) == spf
+            assert is_prime(k) == (spf == k)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            ((2**61 - 1, 1),),
+            ((3, 1), (2**61 - 1, 1)),
+            ((2, 200), (2**61 - 1, 1)),
+            ((1009, 2),),
+            ((2147483647, 2),),
+            ((4294967279, 1), (4294967291, 1)),
+            ((1009, 1), (1013, 1), (1019, 1), (1021, 1), (1031, 1), (1033, 1)),
+        ],
+    )
+    def test_factorize_large(self, factors):
+        k = math.prod(p**e for p, e in factors)
+        assert factorize(k) == factors
+        assert is_prime(k) == (factors == ((k, 1),))
+
+    def test_factorize_refuses_large_cofactor(self):
+        with pytest.raises(ValueError, match="cannot factor"):
+            factorize(5 * (2**64 + 13))
 
 
 class TestPrimeConstruction:

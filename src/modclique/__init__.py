@@ -42,6 +42,7 @@ from .constructions import (
     lower_bound,
     materialize_bound,
     prime_construction,
+    provenance_json,
     provenance_label,
     provenance_lines,
     smallest_prime_factor,

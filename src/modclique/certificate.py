@@ -306,13 +306,14 @@ def parse(text: str) -> UncheckedCertificate:
     """
     data: list[tuple[int, str]] = []
     lines = text.split("\n")
-    for i, raw in enumerate(lines, start=1):
+    end = len(lines)
+    while end and not lines[end - 1].strip():
+        end -= 1  # trailing blank region
+    for i, raw in enumerate(lines[:end], start=1):
         stripped = raw.strip()
         if stripped.startswith("#"):
             continue
         if not stripped:
-            if i == len(lines) or all(not l.strip() for l in lines[i:]):
-                continue  # trailing blank region
             raise CertificateFormatError("unexpected blank line", i)
         data.append((i, raw))
 

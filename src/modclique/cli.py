@@ -16,6 +16,7 @@ names documented in the README.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,14 +32,12 @@ from .certificate import (
     verify,
 )
 from .constructions import (
-    BoundReport,
     CertificateRegistry,
-    PrimeConstruction,
-    StoredCertificate,
     compose,
     lower_bound,
     materialize_bound,
     prime_construction,
+    provenance_json,
     provenance_label,
     provenance_lines,
 )
@@ -88,16 +87,7 @@ def _cmd_verify(args) -> int:
             "k": report.k,
             "rows": report.row_count,
             "ok": report.ok,
-            "violations": [
-                {
-                    "row_s": v.row_s,
-                    "row_t": v.row_t,
-                    "point_a": v.point_a,
-                    "point_b": v.point_b,
-                    "value": v.value,
-                }
-                for v in report.violations
-            ],
+            "violations": [dataclasses.asdict(v) for v in report.violations],
         }
         print(json.dumps(payload))
     else:
@@ -255,28 +245,6 @@ def _cmd_search(args) -> int:
 # bound
 
 
-def _provenance_json(report: BoundReport) -> dict:
-    prov = report.provenance
-    if isinstance(prov, PrimeConstruction):
-        node = {"kind": "prime", "p": prov.p}
-    elif isinstance(prov, StoredCertificate):
-        node = {"kind": "stored", "k": prov.k, "m": prov.m}
-    else:
-        node = {
-            "kind": "product",
-            "n": prov.n,
-            "m": prov.m,
-            "left": _provenance_json(prov.left),
-            "right": _provenance_json(prov.right),
-        }
-    return {
-        "k": report.k,
-        "lower_bound": report.lower_bound,
-        "exact": report.exact,
-        "provenance": node,
-    }
-
-
 def _cmd_bound(args) -> int:
     if (args.k is None) == (args.upto is None):
         return _err("give exactly one of K or --upto K")
@@ -295,7 +263,7 @@ def _cmd_bound(args) -> int:
             return _err("--upto must be at least 2")
         reports = [lower_bound(k, registry) for k in range(2, args.upto + 1)]
         if args.json:
-            print(json.dumps({"reports": [_provenance_json(r) for r in reports]}))
+            print(json.dumps({"reports": [provenance_json(r) for r in reports]}))
         else:
             print(f"{'k':>5}  {'bound':>5}  {'exact':>5}  derivation")
             for r in reports:
@@ -310,7 +278,7 @@ def _cmd_bound(args) -> int:
     except ValueError as exc:
         return _err(str(exc))
     if args.json:
-        print(json.dumps(_provenance_json(report)))
+        print(json.dumps(provenance_json(report)))
     else:
         print("\n".join(provenance_lines(report)))
     if witness is not None:

@@ -259,81 +259,61 @@ class BoundReport:
     exact: bool
 
 
-def _product_nodes(report: BoundReport) -> int:
-    if isinstance(report.provenance, Product):
-        return (
-            1
-            + _product_nodes(report.provenance.left)
-            + _product_nodes(report.provenance.right)
-        )
-    return 0
-
-
-_KIND_RANK = {PrimeConstruction: 0, StoredCertificate: 1, Product: 2}
-
-
-def _candidate_key(report: BoundReport) -> tuple:
-    """Sort key: higher bound first, then fewer Product nodes, then leaf kind,
-    then lexicographically smallest presented (n, m)."""
-    prov = report.provenance
-    pair = (prov.n, prov.m) if isinstance(prov, Product) else (0, 0)
-    return (-report.lower_bound, _product_nodes(report), _KIND_RANK[type(prov)], pair)
-
-
 def lower_bound(k: int, registry: CertificateRegistry | None = None) -> BoundReport:
     """Best lower bound on the clique number of G_k from the three sources.
 
-    Dynamic programming over the divisors of k: at each divisor take the max
-    of spf, a stored certificate at exactly that modulus, and min over all
-    factorizations n*m of the factor bounds.  Ties go to the derivation with
-    fewer Product nodes, then to the lexicographically smallest (n, m); a
-    Product is presented binding-side first (the factor whose bound equals
-    the min comes first, matching the composition order used on replay).
+    Dynamic programming over the divisors of k, smallest first: at each
+    divisor take the max of spf, a stored certificate at exactly that
+    modulus, and min over all factorizations n*m of the factor bounds.  Ties
+    go to the derivation with fewer Product nodes, then to the leaf kind
+    (prime construction before stored certificate), then to the
+    lexicographically smallest presented (n, m); a Product is presented
+    binding-side first (the factor whose bound equals the min comes first,
+    matching the composition order used on replay).
     """
     factors = factorize(k)
     if registry is None:
         registry = CertificateRegistry.builtin()
     primes = [p for p, _ in factors]
-    # every node of the DP divides k, so k's divisors hold each node's own
+    # every factor of a divisor of k divides k, so k's divisors hold them all
     divisors = [1]
     for p, e in factors:
         divisors = [d * p**i for d in divisors for i in range(e + 1)]
     divisors.sort()
-    memo: dict[int, BoundReport] = {}
-
-    def best(n: int) -> BoundReport:
-        got = memo.get(n)
-        if got is not None:
-            return got
+    # divisor -> (key, report) of its best derivation, where the key
+    # (-bound, Product nodes, kind, presented n, presented m) is smallest for
+    # the winner; kind is 0 for a prime construction, 1 for a stored
+    # certificate, 2 for a product
+    memo: dict[int, tuple[tuple, BoundReport]] = {}
+    for n in divisors[1:]:
         p = next(q for q in primes if n % q == 0)
-        exact = p == 2 or p == n
-        candidates = [BoundReport(n, p, PrimeConstruction(p), exact)]
+        best = (-p, 0, 0, 0, 0)
         stored = registry.get(n)
         if stored is not None:
-            candidates.append(
-                BoundReport(n, stored.row_count, StoredCertificate(n, stored.row_count), exact)
-            )
+            best = min(best, (-stored.row_count, 0, 1, 0, 0))
         for d in divisors[1:]:
-            if d * d > n:
+            e = n // d
+            if d > e:
                 break
             if n % d:
                 continue
-            ra, rb = best(d), best(n // d)
+            ka, kb = memo[d][0], memo[e][0]
             # binding side (smaller bound) first; tie -> smaller modulus
-            if (rb.lower_bound, rb.k) < (ra.lower_bound, ra.k):
-                ra, rb = rb, ra
-            candidates.append(
-                BoundReport(
-                    n,
-                    min(ra.lower_bound, rb.lower_bound),
-                    Product(ra.k, rb.k, ra, rb),
-                    exact,
-                )
-            )
-        memo[n] = min(candidates, key=_candidate_key)
-        return memo[n]
-
-    return best(k)
+            if kb[0] > ka[0]:
+                key = (kb[0], 1 + ka[1] + kb[1], 2, e, d)
+            else:
+                key = (ka[0], 1 + ka[1] + kb[1], 2, d, e)
+            if key < best:
+                best = key
+        neg_bound, _, kind, a, b = best
+        if kind == 0:
+            prov = PrimeConstruction(p)
+        elif kind == 1:
+            prov = StoredCertificate(n, -neg_bound)
+        else:
+            prov = Product(a, b, memo[a][1], memo[b][1])
+        memo[n] = (best, BoundReport(n, -neg_bound, prov, p == 2 or p == n))
+    return memo[k][1]
 
 
 def provenance_label(report: BoundReport) -> str:
@@ -358,6 +338,29 @@ def provenance_lines(report: BoundReport, indent: int = 0) -> list[str]:
         lines.extend(provenance_lines(prov.left, indent + 1))
         lines.extend(provenance_lines(prov.right, indent + 1))
     return lines
+
+
+def provenance_json(report: BoundReport) -> dict:
+    """JSON-ready form of a bound and its derivation tree."""
+    prov = report.provenance
+    if isinstance(prov, PrimeConstruction):
+        node = {"kind": "prime", "p": prov.p}
+    elif isinstance(prov, StoredCertificate):
+        node = {"kind": "stored", "k": prov.k, "m": prov.m}
+    else:
+        node = {
+            "kind": "product",
+            "n": prov.n,
+            "m": prov.m,
+            "left": provenance_json(prov.left),
+            "right": provenance_json(prov.right),
+        }
+    return {
+        "k": report.k,
+        "lower_bound": report.lower_bound,
+        "exact": report.exact,
+        "provenance": node,
+    }
 
 
 def materialize_bound(

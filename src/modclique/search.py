@@ -29,6 +29,7 @@ from enum import Enum
 from typing import Sequence, TextIO
 
 from .certificate import CliqueCertificate
+from .constructions import check_table_size
 from .core import ModFunction, validate_modulus
 
 
@@ -343,6 +344,10 @@ def search(config: SearchConfig) -> SearchOutcome:
         # every row already pinned by normalization and seeds
         cert = _build_certificate(k, seeds, ())
         return finish(OutcomeKind.FOUND, cert, 0, 0)
+    # before its first node the engine holds k lex masks of k bits and, when
+    # first-found, a k-value order per free cell: refuse what the table cap
+    # would refuse
+    check_table_size((size - base) * k, k)
 
     exhausted_kind = (
         OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if seeds else OutcomeKind.EXHAUSTED_NONE

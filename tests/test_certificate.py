@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -269,8 +271,15 @@ class TestFileFormat:
         assert "extra data" in str(exc.value)
 
     def test_interior_blank_line_rejected(self):
-        with pytest.raises(CertificateFormatError):
-            parse("3 2\n0 1 2\n\n0 2 1\n")
+        with pytest.raises(CertificateFormatError, match="unexpected blank line") as exc:
+            parse("3 2\n0 1 2\n\n \n0 2 1\n\n")
+        assert exc.value.line == 3
+
+    def test_many_trailing_blank_lines_parse_fast(self):
+        text = serialize(builtin_certificate(15)) + "\n" * 100_000
+        start = time.perf_counter()
+        assert parse(text).row_count == 4
+        assert time.perf_counter() - start < 1.0
 
     def test_degenerate_modulus_rejected(self):
         with pytest.raises(CertificateFormatError):

@@ -99,6 +99,21 @@ class TestTableCap:
         assert "over the cap" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "-k", "20011", "-s", "3", "--first-found", "--node-limit", "10"),
+            ("search", "-k", "200003", "-s", "3", "--node-limit", "10"),
+        ],
+    )
+    def test_oversized_search_refused_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "over the cap" in err
+        assert out == ""
+
 
 class TestCompose:
     def test_round_trip(self, capsys, tmp_path):

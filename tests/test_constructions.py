@@ -1,13 +1,16 @@
 import math
+import time
 
 import pytest
 
 from modclique import (
+    BoundReport,
     CertificateError,
     CertificateRegistry,
     PrimeConstruction,
     Product,
     StoredCertificate,
+    builtin_certificate,
     compose,
     identity_function,
     lower_bound,
@@ -19,6 +22,49 @@ from modclique import (
 )
 
 from modclique.constructions import factorize, is_prime
+
+
+def reference_lower_bound(k, registry):
+    """The top-down divisor DP: every candidate of every divisor becomes a
+    full BoundReport, ranked by walking its derivation tree."""
+
+    def product_nodes(report):
+        prov = report.provenance
+        if isinstance(prov, Product):
+            return 1 + product_nodes(prov.left) + product_nodes(prov.right)
+        return 0
+
+    kind_rank = {PrimeConstruction: 0, StoredCertificate: 1, Product: 2}
+
+    def key(report):
+        prov = report.provenance
+        pair = (prov.n, prov.m) if isinstance(prov, Product) else (0, 0)
+        return (-report.lower_bound, product_nodes(report), kind_rank[type(prov)], pair)
+
+    memo = {}
+
+    def best(n):
+        if n not in memo:
+            p = smallest_prime_factor(n)
+            exact = p == 2 or p == n
+            candidates = [BoundReport(n, p, PrimeConstruction(p), exact)]
+            stored = registry.get(n)
+            if stored is not None:
+                m = stored.row_count
+                candidates.append(BoundReport(n, m, StoredCertificate(n, m), exact))
+            for d in range(2, math.isqrt(n) + 1):
+                if n % d == 0:
+                    ra, rb = best(d), best(n // d)
+                    if (rb.lower_bound, rb.k) < (ra.lower_bound, ra.k):
+                        ra, rb = rb, ra
+                    bound = min(ra.lower_bound, rb.lower_bound)
+                    candidates.append(
+                        BoundReport(n, bound, Product(ra.k, rb.k, ra, rb), exact)
+                    )
+            memo[n] = min(candidates, key=key)
+        return memo[n]
+
+    return best(k)
 
 from conftest import CERTS_DIR
 
@@ -245,6 +291,24 @@ class TestLowerBound:
 
     def test_deterministic(self):
         assert lower_bound(315) == lower_bound(315)
+
+    def test_matches_reference_dp(self):
+        # the two composed 4-cliques at 315 and 135 tie with the product
+        # derivations 15 x 21 and 27 x 5 and win on fewer Product nodes
+        extended = CertificateRegistry.builtin()
+        extended.add(compose(builtin_certificate(15), builtin_certificate(21)))
+        extended.add(compose(builtin_certificate(27), prime_construction(5)))
+        assert lower_bound(315, extended).provenance == StoredCertificate(315, 4)
+        assert lower_bound(135, extended).provenance == StoredCertificate(135, 4)
+        for registry in (CertificateRegistry.builtin(), CertificateRegistry(), extended):
+            for k in range(2, 2001):
+                assert lower_bound(k, registry) == reference_lower_bound(k, registry), k
+
+    def test_highly_composite_modulus_is_fast(self):
+        start = time.perf_counter()
+        report = lower_bound(720720**2)  # 3,645 divisors
+        assert time.perf_counter() - start < 1.5
+        assert report.lower_bound == 2 and report.exact
 
 
 class TestMaterialize:

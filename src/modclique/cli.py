@@ -23,14 +23,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .certificate import (
-    CertificateError,
-    CertificateFormatError,
-    certify,
-    parse,
-    serialize,
-    verify,
-)
+from .certificate import CertificateError, certify, parse, serialize, verify
 from .constructions import (
     CertificateRegistry,
     compose,
@@ -50,13 +43,13 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
-def _err(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _read_cert(path: str):
-    return parse(Path(path).read_text())
+    """Parse a certificate file; malformed text and undecodable bytes both
+    become a ValueError that names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None):
@@ -75,13 +68,7 @@ def _cert_json(cert) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        unchecked = _read_cert(args.path)
-    except OSError as exc:
-        return _err(str(exc))
-    except CertificateFormatError as exc:
-        return _err(f"{args.path}: {exc}")
-    report = verify(unchecked)
+    report = verify(_read_cert(args.path))
     if args.json:
         payload = {
             "k": report.k,
@@ -105,10 +92,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        cert = prime_construction(args.k)
-    except ValueError as exc:
-        return _err(str(exc))
+    cert = prime_construction(args.k)
     _emit(serialize(cert), args.out)
     print(
         f"wrote {cert.row_count}-clique in G_{cert.k} (prime construction)",
@@ -124,21 +108,13 @@ def _cmd_gen(args) -> int:
 def _cmd_compose(args) -> int:
     certs = []
     for path in (args.left, args.right):
+        unchecked = _read_cert(path)
         try:
-            unchecked = _read_cert(path)
-        except OSError as exc:
-            return _err(str(exc))
-        except CertificateFormatError as exc:
-            return _err(f"{path}: {exc}")
-        report = verify(unchecked)
-        if not report.ok:
-            print(f"{path}: {report.summary()}", file=sys.stderr)
+            certs.append(certify(unchecked))
+        except CertificateError:
+            print(f"{path}: {verify(unchecked).summary()}", file=sys.stderr)
             return EXIT_NEGATIVE
-        certs.append(certify(unchecked))
-    try:
-        combined = compose(certs[0], certs[1])
-    except ValueError as exc:
-        return _err(str(exc))
+    combined = compose(certs[0], certs[1])
     _emit(serialize(combined), args.out)
     print(
         f"wrote {combined.row_count}-clique in G_{combined.k} "
@@ -168,16 +144,9 @@ def _load_seed_rows(path: str, k: int):
 
 def _cmd_search(args) -> int:
     mode = SearchMode.FIRST_FOUND if args.first_found else SearchMode.EXHAUSTIVE
-    seeds = None
-    if args.seed is not None:
-        try:
-            seeds = _load_seed_rows(args.seed, args.k)
-        except OSError as exc:
-            return _err(str(exc))
-        except (ValueError, CertificateFormatError) as exc:
-            return _err(str(exc))
+    seeds = None if args.seed is None else _load_seed_rows(args.seed, args.k)
     if args.workers < 1:
-        return _err("worker count must be at least 1")
+        raise ValueError("worker count must be at least 1")
     config = SearchConfig(
         k=args.k,
         target_size=args.size,
@@ -187,12 +156,8 @@ def _cmd_search(args) -> int:
         rng_seed=args.rand_seed,
         seed_rows=seeds,
         progress_interval=args.progress,
-        progress_stream=sys.stderr if args.progress else None,
     )
-    try:
-        outcome = search(config)
-    except (ValueError, CertificateError) as exc:
-        return _err(str(exc))
+    outcome = search(config)
     stats = outcome.stats
     if args.json:
         payload = {
@@ -247,20 +212,17 @@ def _cmd_search(args) -> int:
 
 def _cmd_bound(args) -> int:
     if (args.k is None) == (args.upto is None):
-        return _err("give exactly one of K or --upto K")
-    try:
-        registry = (
-            CertificateRegistry.from_directory(args.registry)
-            if args.registry
-            else CertificateRegistry.builtin()
-        )
-    except (OSError, CertificateError) as exc:
-        return _err(str(exc))
+        raise ValueError("give exactly one of K or --upto K")
+    registry = (
+        CertificateRegistry.from_directory(args.registry)
+        if args.registry
+        else CertificateRegistry.builtin()
+    )
     if args.upto is not None:
         if args.materialize:
-            return _err("--materialize needs a single K")
+            raise ValueError("--materialize needs a single K")
         if args.upto < 2:
-            return _err("--upto must be at least 2")
+            raise ValueError("--upto must be at least 2")
         reports = [lower_bound(k, registry) for k in range(2, args.upto + 1)]
         if args.json:
             print(json.dumps({"reports": [provenance_json(r) for r in reports]}))
@@ -272,11 +234,8 @@ def _cmd_bound(args) -> int:
                     f"{'yes' if r.exact else 'no':>5}  {provenance_label(r)}"
                 )
         return EXIT_OK
-    try:
-        report = lower_bound(args.k, registry)
-        witness = materialize_bound(report, registry) if args.materialize else None
-    except ValueError as exc:
-        return _err(str(exc))
+    report = lower_bound(args.k, registry)
+    witness = materialize_bound(report, registry) if args.materialize else None
     if args.json:
         print(json.dumps(provenance_json(report)))
     else:
@@ -296,6 +255,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    oracle.check_cap(args.k)  # before k**k, which alone is slow for huge k
     want_all = not (args.omega or args.triangles or args.degree)
     payload: dict = {"k": args.k, "vertex_count": args.k**args.k}
     try:
@@ -310,8 +270,6 @@ def _cmd_census(args) -> int:
             payload["triangle_count"] = oracle.triangle_count(args.k)
         if args.omega or want_all:
             payload["omega"] = oracle.brute_force_omega(args.k)
-    except ValueError as exc:
-        return _err(str(exc))
     except AssertionError as exc:
         print(f"oracle mismatch: {exc}")
         return EXIT_NEGATIVE
@@ -408,10 +366,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        # unreadable inputs are caught closer to their context; this mops up
+    except (OSError, ValueError) as exc:
+        # the one boundary for input errors: unreadable, undecodable or
+        # malformed files, out-of-cap moduli, bad flag combinations and
         # unwritable --out/--materialize destinations
-        return _err(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry():

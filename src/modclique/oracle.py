@@ -20,7 +20,8 @@ from .core import ModFunction, is_edge, validate_modulus, zero_function
 ORACLE_CAP = 5
 
 
-def _check_cap(k: int):
+def check_cap(k: int):
+    """Raise ValueError unless 2 <= k <= ORACLE_CAP."""
     validate_modulus(k)
     if k > ORACLE_CAP:
         raise ValueError(
@@ -45,7 +46,7 @@ def brute_force_omega(k: int) -> int:
     neighborhood, which is exactly the k! bijections.  Enumerate cliques of
     the bijection subgraph by plain candidate-set expansion and add 1.
     """
-    _check_cap(k)
+    check_cap(k)
     perms = list(permutations(range(k)))
     n = len(perms)
     adj = [0] * n
@@ -82,7 +83,7 @@ def brute_force_omega(k: int) -> int:
 
 def ordered_bijection_pairs(k: int) -> int:
     """N(k): ordered pairs (u, v) of distinct bijections with u - v bijective."""
-    _check_cap(k)
+    check_cap(k)
     perms = np.array(list(permutations(range(k))), dtype=np.int64)
     diffs = (perms[:, None, :] - perms[None, :, :]) % k
     is_perm = (np.sort(diffs, axis=2) == np.arange(k)).all(axis=2)
@@ -93,7 +94,7 @@ def triangle_count_by_pairs(k: int) -> int:
     """Method A: every triangle {f, g, h} corresponds 6-to-1 to a base point f
     (free over all k^k vertices) plus an ordered pair (g - f, h - f) of
     bijections with bijective difference, so the count is k^k * N(k) / 6."""
-    _check_cap(k)
+    check_cap(k)
     n = ordered_bijection_pairs(k)
     total = k**k * n
     if total % 6 != 0:
@@ -103,7 +104,7 @@ def triangle_count_by_pairs(k: int) -> int:
 
 def triangle_count_by_enumeration(k: int) -> int:
     """Method B: walk all vertex triples directly.  Only viable for k <= 3."""
-    _check_cap(k)
+    check_cap(k)
     if k > 3:
         raise ValueError(f"direct triple enumeration is capped at k <= 3, got {k}")
     verts = [ModFunction(k, v) for v in product(range(k), repeat=k)]
@@ -117,7 +118,7 @@ def triangle_count_by_enumeration(k: int) -> int:
 def triangle_count(k: int) -> int:
     """Exact triangle count of G_k, cross-validated between the two methods
     wherever the direct one can run."""
-    _check_cap(k)
+    check_cap(k)
     by_pairs = triangle_count_by_pairs(k)
     if k <= 3:
         direct = triangle_count_by_enumeration(k)
@@ -136,7 +137,7 @@ def degree_check(k: int, sample=None) -> bool:
     vertices; for k = 5 by the parameterization g = f - b over all k!
     bijections b, whose images must be distinct and all adjacent to f.
     """
-    _check_cap(k)
+    check_cap(k)
     if sample is None:
         sample = [zero_function(k), ModFunction(k, tuple(range(k)))]
     target = math.factorial(k)
@@ -165,7 +166,7 @@ def degree_check(k: int, sample=None) -> bool:
 def census(k: int, with_omega: bool = True) -> CensusReport:
     """Full small-k census: vertex count, uniform degree, triangles, and
     (optionally) the exact clique number."""
-    _check_cap(k)
+    check_cap(k)
     if not degree_check(k):
         raise AssertionError(f"degree check failed at k={k}")
     return CensusReport(

@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from .certificate import CliqueCertificate
 from .constructions import check_table_size
@@ -72,7 +72,8 @@ class SearchConfig:
     across ``restarts`` randomized passes seeded from ``rng_seed``.  seed_rows
     are fixed as rows 2.. and must extend {zero, identity} to a verified,
     normalized prefix; with seeds present an exhausted tree yields the
-    weaker "none under seed" verdict.
+    weaker "none under seed" verdict.  With progress_interval set, progress
+    lines go to stderr at most that often.
     """
 
     k: int
@@ -83,7 +84,6 @@ class SearchConfig:
     rng_seed: int = 0
     seed_rows: tuple[ModFunction, ...] | None = None
     progress_interval: float | None = None
-    progress_stream: TextIO | None = None
 
     def validated(self) -> "SearchConfig":
         validate_modulus(self.k)
@@ -154,7 +154,6 @@ class _Engine:
         self.value_orders: dict[tuple[int, int], list[int]] | None = None
         self.node_budget: int | None = None
         self.progress_interval: float | None = None
-        self.progress_stream: TextIO | None = None
         self.progress_label = ""
         self._last_sync = 0
         self._started = time.perf_counter()
@@ -206,13 +205,12 @@ class _Engine:
         now = time.perf_counter()
         if now - self._last_progress >= self.progress_interval:
             self._last_progress = now
-            stream = self.progress_stream or sys.stderr
-            stream.write(
+            sys.stderr.write(
                 f"progress{self.progress_label}: nodes={self.nodes} "
                 f"depth={self.max_depth}/{self.ncells} "
                 f"elapsed={now - self._started:.1f}s\n"
             )
-            stream.flush()
+            sys.stderr.flush()
 
     def _values(self, ci: int, allowed: int) -> list[int]:
         if self.value_orders is None:
@@ -366,7 +364,6 @@ def search(config: SearchConfig) -> SearchOutcome:
         eng = _Engine(k, size, [s.values for s in seeds])
         eng.node_budget = budget
         eng.progress_interval = config.progress_interval
-        eng.progress_stream = config.progress_stream
         if config.mode is SearchMode.FIRST_FOUND:
             eng.value_orders = _restart_orders(k, size, base, config.rng_seed, idx)
             eng.progress_label = f" restart={idx}"

@@ -332,6 +332,13 @@ class TestCensus:
         assert code == 2
         assert "capped" in err
 
+    def test_huge_k_refused_before_k_to_the_k(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", "-k", "10000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "capped" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "census", "-k", "2", "--json")
         payload = json.loads(out)
@@ -363,3 +370,37 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err
+
+
+# every path on which the CLI reads a certificate file: argv for a file f
+# inside a directory d
+READ_PATHS = {
+    "verify": lambda f, d: ("verify", f),
+    "compose-left": lambda f, d: ("compose", f, K15),
+    "compose-right": lambda f, d: ("compose", K15, f),
+    "search-seed": lambda f, d: ("search", "-k", "15", "-s", "4", "--seed", f),
+    "bound-registry": lambda f, d: ("bound", "105", "--registry", d),
+}
+BAD_INPUTS = {
+    "missing": None,
+    "malformed": b"not a certificate\n",
+    "non-utf8": b"\xff\xfe15 4\n\x80\n",
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("content", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    @pytest.mark.parametrize("argv_for", READ_PATHS.values(), ids=READ_PATHS.keys())
+    def test_input_error_exits_2_with_one_line(self, capsys, tmp_path, argv_for, content):
+        path = tmp_path / "input.cert"
+        if content is not None:
+            path.write_bytes(content)
+        argv = argv_for(str(path), str(tmp_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n")
+        assert err.count("\n") == 1
+        # a registry with no file at all can only name its directory
+        named = tmp_path if content is None and "--registry" in argv else path
+        assert str(named) in err

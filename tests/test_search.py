@@ -1,4 +1,4 @@
-import io
+import random
 
 import pytest
 
@@ -17,6 +17,7 @@ from modclique import (
     verify,
     zero_function,
 )
+from modclique.search import _Engine
 
 from conftest import OMEGA
 
@@ -64,6 +65,36 @@ class TestColumnCandidates:
             column_candidates(3, rows, 0, 1)
         with pytest.raises(ValueError):
             column_candidates(3, rows, 2, 3)
+
+    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize("k", range(5, 12))
+    def test_matches_engine_masks(self, k, size):
+        # a seeded random walk of assign/unassign through the engine; at every
+        # cell reached, its incremental mask must equal the from-scratch set,
+        # narrowed to values >= the row above while the two rows are tied
+        rng = random.Random(f"{k}:{size}")
+        eng = _Engine(k, size)
+        stack = []
+        checked = tied_checks = 0
+        for _ in range(400):
+            ci = len(stack)
+            if ci < eng.ncells:
+                t, j = eng.cells[ci]
+                allowed = eng.allowed_mask(ci)
+                expected = column_candidates(k, eng.rows, t, j)
+                if eng.tied[t]:
+                    expected = {v for v in expected if v >= eng.rows[t - 1][j]}
+                    tied_checks += 1
+                assert allowed == sum(1 << v for v in expected), (t, j)
+                checked += 1
+                if allowed and rng.random() < 0.75:
+                    v = rng.choice(sorted(expected))
+                    stack.append((ci, v, eng.assign(ci, v)))
+                    continue
+            if stack:
+                eng.unassign(*stack.pop())
+        assert checked > 100
+        assert tied_checks > 0 or size == 3
 
 
 class TestVerdictsAgainstOracle:
@@ -259,11 +290,10 @@ class TestConfigValidation:
 
 
 class TestProgress:
-    def test_progress_lines_stream(self):
-        stream = io.StringIO()
-        outcome = run(9, 4, progress_interval=0.0, progress_stream=stream)
+    def test_progress_lines_stream(self, capsys):
+        outcome = run(9, 4, progress_interval=0.0)
         assert outcome.kind is OutcomeKind.EXHAUSTED_NONE
-        lines = stream.getvalue().splitlines()
+        lines = capsys.readouterr().err.splitlines()
         assert lines
         assert all(line.startswith("progress") for line in lines)
         assert "nodes=" in lines[0] and "depth=" in lines[0] and "elapsed=" in lines[0]

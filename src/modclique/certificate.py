@@ -38,6 +38,9 @@ import numpy as np
 from .core import ModFunction, validate_modulus
 
 BUILTIN_MODULI = (15, 21, 27)
+# the largest file the package writes, 2^20 cells of at most 7 characters
+# each, is about 7 MiB
+MAX_FILE_BYTES = 16 << 20
 
 
 class CertificateError(ValueError):
@@ -244,8 +247,9 @@ def normalize(cert: CliqueCertificate) -> CliqueCertificate:
     return CliqueCertificate(cert.k, _normal_form(cert.k, cert.table))
 
 
-def is_normalized(cert: CliqueCertificate) -> bool:
-    """True iff cert is a fixed point of normalize."""
+def is_normalized(cert: CertificateLike) -> bool:
+    """True iff cert's table is a fixed point of normalize; any table is
+    accepted, adjacency is not checked."""
     return cert.row_count >= 2 and np.array_equal(
         _normal_form(cert.k, cert.table), cert.table
     )
@@ -351,7 +355,18 @@ def parse(text: str) -> UncheckedCertificate:
 
 
 def read_certificate(path: str | Path) -> UncheckedCertificate:
-    return parse(Path(path).read_text())
+    """Parse a certificate file of at most MAX_FILE_BYTES bytes.  Every
+    ValueError -- oversized, undecodable or malformed input -- names the path;
+    only the cap plus one byte is ever read."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
+        if len(data) > MAX_FILE_BYTES:
+            raise ValueError(f"file is over the cap of {MAX_FILE_BYTES} bytes")
+        # universal newlines, as text-mode reading would give
+        return parse(data.decode().replace("\r\n", "\n").replace("\r", "\n"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_certificate(path: str | Path, cert: CertificateLike):

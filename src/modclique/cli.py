@@ -23,7 +23,8 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .certificate import CertificateError, certify, parse, serialize, verify
+from .certificate import CertificateError, certify, read_certificate, serialize, verify
+from .certificate import parse  # noqa: F401  (uncalled; perfbench/spans.py rebinds cli.parse)
 from .constructions import (
     CertificateRegistry,
     compose,
@@ -34,22 +35,12 @@ from .constructions import (
     provenance_label,
     provenance_lines,
 )
-from .core import ModFunction
 from .search import OutcomeKind, SearchConfig, SearchMode, search
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-
-def _read_cert(path: str):
-    """Parse a certificate file; malformed text and undecodable bytes both
-    become a ValueError that names the file."""
-    try:
-        return parse(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None):
@@ -68,7 +59,7 @@ def _cert_json(cert) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    report = verify(_read_cert(args.path))
+    report = verify(read_certificate(args.path))
     if args.json:
         payload = {
             "k": report.k,
@@ -108,7 +99,7 @@ def _cmd_gen(args) -> int:
 def _cmd_compose(args) -> int:
     certs = []
     for path in (args.left, args.right):
-        unchecked = _read_cert(path)
+        unchecked = read_certificate(path)
         try:
             certs.append(certify(unchecked))
         except CertificateError:
@@ -129,7 +120,7 @@ def _cmd_compose(args) -> int:
 
 
 def _load_seed_rows(path: str, k: int):
-    unchecked = _read_cert(path)
+    unchecked = read_certificate(path)
     if unchecked.k != k:
         raise ValueError(f"seed file {path} has modulus {unchecked.k}, expected {k}")
     rows = unchecked.table.tolist()
@@ -139,7 +130,7 @@ def _load_seed_rows(path: str, k: int):
         rows = rows[1:]
     if not rows:
         raise ValueError(f"seed file {path} contains no rows beyond zero/identity")
-    return tuple(ModFunction(k, tuple(r)) for r in rows)
+    return rows
 
 
 def _cmd_search(args) -> int:

@@ -28,7 +28,7 @@ from .certificate import (
     CliqueCertificate,
     builtin_certificates,
     certify,
-    parse,
+    read_certificate,
 )
 from .core import validate_modulus
 
@@ -216,9 +216,10 @@ class CertificateRegistry:
         if not files:
             raise FileNotFoundError(f"no *.cert files in {path}")
         for f in files:
+            unchecked = read_certificate(f)  # its errors name the file
             try:
-                reg.add(certify(parse(f.read_text())))
-            except (ValueError, CertificateError) as exc:
+                reg.add(certify(unchecked))
+            except CertificateError as exc:
                 raise CertificateError(f"{f}: {exc}") from exc
         return reg
 

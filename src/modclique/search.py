@@ -24,13 +24,13 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .certificate import CliqueCertificate
+from .certificate import CliqueCertificate, UncheckedCertificate, certify, is_normalized
 from .constructions import check_table_size
-from .core import ModFunction, validate_modulus
+from .core import validate_modulus
 
 
 class SearchMode(Enum):
@@ -70,10 +70,10 @@ class SearchConfig:
 
     node_limit caps total assignments; in first-found mode it is split evenly
     across ``restarts`` randomized passes seeded from ``rng_seed``.  seed_rows
-    are fixed as rows 2.. and must extend {zero, identity} to a verified,
-    normalized prefix; with seeds present an exhausted tree yields the
-    weaker "none under seed" verdict.  With progress_interval set, progress
-    lines go to stderr at most that often.
+    (any integer rows of length k) are fixed as rows 2.. and must extend
+    {zero, identity} to a verified, normalized prefix; with seeds present an
+    exhausted tree yields the weaker "none under seed" verdict.  With
+    progress_interval set, progress lines go to stderr at most that often.
     """
 
     k: int
@@ -82,39 +82,38 @@ class SearchConfig:
     node_limit: int | None = None
     restarts: int = 1
     rng_seed: int = 0
-    seed_rows: tuple[ModFunction, ...] | None = None
+    seed_rows: Sequence[Sequence[int]] | None = None
     progress_interval: float | None = None
 
-    def validated(self) -> "SearchConfig":
-        validate_modulus(self.k)
-        if self.target_size < 2:
-            raise ValueError(f"target size must be at least 2, got {self.target_size}")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError("node limit must be positive")
-        if self.restarts < 1:
-            raise ValueError("restart count must be at least 1")
-        seeds = tuple(self.seed_rows or ())
-        if seeds:
-            if len(seeds) > self.target_size - 2:
-                raise ValueError(
-                    f"{len(seeds)} seed rows cannot fit in a size-{self.target_size} target"
-                )
-            for r in seeds:
-                if r.k != self.k:
-                    raise ValueError(f"seed row modulus {r.k} != {self.k}")
-                if r.values[0] != 0:
-                    raise ValueError(
-                        "seed row inconsistent with normalization: value at 0 is "
-                        f"{r.values[0]}, expected 0"
-                    )
-            for a, b in zip(seeds, seeds[1:]):
-                if not a.values < b.values:
-                    raise ValueError(
-                        "seed rows must be strictly increasing lexicographically"
-                    )
-            # seeds must extend {zero, identity} to a verified clique
-            _build_certificate(self.k, seeds, ())
-        return replace(self, seed_rows=seeds)
+
+def _fixed_rows(config: SearchConfig) -> CliqueCertificate:
+    """Check the config and return the searched table's fixed rows -- zero,
+    identity, then the seeds -- as one verified, normalized certificate."""
+    k, size = config.k, config.target_size
+    validate_modulus(k)
+    if size < 2:
+        raise ValueError(f"target size must be at least 2, got {size}")
+    if config.node_limit is not None and config.node_limit < 1:
+        raise ValueError("node limit must be positive")
+    if config.restarts < 1:
+        raise ValueError("restart count must be at least 1")
+    seeds = [] if config.seed_rows is None else list(config.seed_rows)
+    if len(seeds) > size - 2:
+        raise ValueError(f"{len(seeds)} seed rows cannot fit in a size-{size} target")
+    free = size - 2 - len(seeds)
+    if free:
+        # before its first node the engine holds k lex masks of k bits, one
+        # difference mask per row pair and, when first-found, a k-value order
+        # per free cell: refuse what the table cap would refuse
+        check_table_size(free * k, k)
+        check_table_size(size, size)
+    fixed = UncheckedCertificate(k, [[0] * k, range(k), *seeds])
+    if not is_normalized(fixed):
+        raise ValueError(
+            "seed rows inconsistent with normalization: each must vanish at 0 "
+            "and the rows must be strictly increasing lexicographically"
+        )
+    return certify(fixed)
 
 
 # internal DFS verdicts
@@ -129,7 +128,6 @@ class _Engine:
 
     def __init__(self, k: int, size: int, seed_values: Sequence[Sequence[int]] = ()):
         self.k = k
-        self.size = size
         self.full = (1 << k) - 1
         fixed = [[0] * k, list(range(k))] + [list(v) for v in seed_values]
         self.base = len(fixed)
@@ -140,25 +138,21 @@ class _Engine:
         self.row_pairs: list[list[tuple[list[int], int]]] = []
         slot = 0
         for t in range(self.base, size):
-            pairs = []
-            for s in range(t):
-                pairs.append((self.rows[s], slot))
-                slot += 1
-            self.row_pairs.append(pairs)
+            self.row_pairs.append([(self.rows[s], slot + s) for s in range(t)])
+            slot += t
         self.masks = [1] * slot
         self.ge_mask = [(self.full >> w) << w for w in range(k)]
         # row t is lex-constrained against t-1 while their assigned prefixes agree
         self.tied = [t >= 3 for t in range(size)]
         self.nodes = 0
         self.max_depth = 0
-        self.value_orders: dict[tuple[int, int], list[int]] | None = None
+        self.value_orders: list[list[int]] | None = None
         self.node_budget: int | None = None
         self.progress_interval: float | None = None
         self.progress_label = ""
         self._last_sync = 0
         self._started = time.perf_counter()
         self._last_progress = self._started
-        self.witness: tuple[tuple[int, ...], ...] | None = None
 
     def allowed_mask(self, ci: int) -> int:
         t, j = self.cells[ci]
@@ -221,7 +215,7 @@ class _Engine:
                 values.append(b.bit_length() - 1)
                 m ^= b
             return values
-        return [v for v in self.value_orders[self.cells[ci]] if (allowed >> v) & 1]
+        return [v for v in self.value_orders[ci] if (allowed >> v) & 1]
 
     def run(self) -> int:
         """Depth-first search of the whole tree with an explicit stack, so
@@ -255,7 +249,6 @@ class _Engine:
             frame[3] = v
             nci = ci + 1
             if nci == self.ncells:
-                self.witness = tuple(tuple(r) for r in self.rows[self.base :])
                 result = _FOUND
                 break
             allowed = self.allowed_mask(nci)
@@ -300,37 +293,32 @@ def column_candidates(
     }
 
 
-def _build_certificate(
-    k: int, seeds: Sequence[ModFunction], witness: Sequence[Sequence[int]]
-) -> CliqueCertificate:
-    table = [[0] * k, list(range(k)), *(r.values for r in seeds), *witness]
-    return CliqueCertificate(k, table)
-
-
 def _restart_orders(k: int, size: int, base: int, rng_seed: int, restart: int):
+    """One shuffled value order per free cell, indexed like ``_Engine.cells``
+    (column-major) but drawn row by row."""
     rng = random.Random(f"{rng_seed}:{restart}")
-    orders = {}
-    for t in range(base, size):
+    free = size - base
+    orders: list[list[int]] = [[]] * ((k - 1) * free)
+    for t in range(free):
         for j in range(1, k):
             o = list(range(k))
             rng.shuffle(o)
-            orders[(t, j)] = o
+            orders[(j - 1) * free + t] = o
     return orders
 
 
 def search(config: SearchConfig) -> SearchOutcome:
     """Run the configured search and return a verdict with statistics.
 
-    Found certificates are rebuilt and re-verified through the certificate
-    module, never trusted from search state.  A pass that walks the whole
+    Found certificates are verified again through the certificate module,
+    never trusted from search state.  A pass that walks the whole
     tree without hitting its budget proves nonexistence in either mode: the
     set of nodes does not depend on value order.  That verdict is
     ExhaustedNone without seed rows, ExhaustedNoneUnderSeed with them.
     """
-    config = config.validated()
+    fixed = _fixed_rows(config)
     k, size = config.k, config.target_size
-    seeds = config.seed_rows or ()
-    base = 2 + len(seeds)
+    base = fixed.row_count
     start = time.perf_counter()
 
     def finish(kind, cert, nodes, depth, restarts_used=1):
@@ -340,15 +328,9 @@ def search(config: SearchConfig) -> SearchOutcome:
 
     if base >= size:
         # every row already pinned by normalization and seeds
-        cert = _build_certificate(k, seeds, ())
-        return finish(OutcomeKind.FOUND, cert, 0, 0)
-    # before its first node the engine holds k lex masks of k bits and, when
-    # first-found, a k-value order per free cell: refuse what the table cap
-    # would refuse
-    check_table_size((size - base) * k, k)
-
+        return finish(OutcomeKind.FOUND, fixed, 0, 0)
     exhausted_kind = (
-        OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if seeds else OutcomeKind.EXHAUSTED_NONE
+        OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if base > 2 else OutcomeKind.EXHAUSTED_NONE
     )
     # exhaustive: one pass in natural value order; first-found: ``restarts``
     # passes in seeded random value orders, splitting the budget evenly
@@ -360,8 +342,9 @@ def search(config: SearchConfig) -> SearchOutcome:
 
     total_nodes = 0
     depth = 0
+    seed_values = fixed.table[2:].tolist()
     for idx in range(passes):
-        eng = _Engine(k, size, [s.values for s in seeds])
+        eng = _Engine(k, size, seed_values)
         eng.node_budget = budget
         eng.progress_interval = config.progress_interval
         if config.mode is SearchMode.FIRST_FOUND:
@@ -371,7 +354,8 @@ def search(config: SearchConfig) -> SearchOutcome:
         total_nodes += eng.nodes
         depth = max(depth, eng.max_depth)
         if res == _FOUND:
-            cert = _build_certificate(k, seeds, eng.witness)
+            # the grid still holds the witness: unassign never clears values
+            cert = CliqueCertificate(k, eng.rows)
             return finish(OutcomeKind.FOUND, cert, total_nodes, depth, idx + 1)
         if res == _EXHAUSTED:
             return finish(exhausted_kind, None, total_nodes, depth, idx + 1)

@@ -1,9 +1,11 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from modclique import builtin_certificate, normalize, parse, verify
+from modclique.certificate import MAX_FILE_BYTES
 from modclique.cli import main
 
 from conftest import CERTS_DIR
@@ -104,6 +106,8 @@ class TestTableCap:
         [
             ("search", "-k", "20011", "-s", "3", "--first-found", "--node-limit", "10"),
             ("search", "-k", "200003", "-s", "3", "--node-limit", "10"),
+            # one difference mask per row pair: s^2 / 2 slots however small k is
+            ("search", "-k", "2", "-s", "100000", "--node-limit", "10"),
         ],
     )
     def test_oversized_search_refused_fast(self, capsys, argv):
@@ -385,6 +389,8 @@ BAD_INPUTS = {
     "missing": None,
     "malformed": b"not a certificate\n",
     "non-utf8": b"\xff\xfe15 4\n\x80\n",
+    # a valid certificate, padded past the reader's byte cap with blank lines
+    "oversized": (CERTS_DIR / "k15.cert").read_bytes().ljust(MAX_FILE_BYTES + 1, b"\n"),
 }
 
 
@@ -404,3 +410,11 @@ class TestInputErrors:
         # a registry with no file at all can only name its directory
         named = tmp_path if content is None and "--registry" in argv else path
         assert str(named) in err
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+    def test_endless_input_refused_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "/dev/zero")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: /dev/zero: file is over the cap of {MAX_FILE_BYTES} bytes\n"

@@ -92,6 +92,12 @@ class TestDegree:
     def test_k5_parameterization(self):
         assert degree_check(5, [identity_function(5)])
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_fails_when_every_pair_is_an_edge(self, monkeypatch, k):
+        # every candidate then counts: k^k - 1 neighbors, never k!
+        monkeypatch.setattr("modclique.oracle.is_edge", lambda f, g: True)
+        assert not degree_check(k)
+
     def test_wrong_modulus_sample(self):
         with pytest.raises(ValueError):
             degree_check(3, [zero_function(4)])

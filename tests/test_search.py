@@ -241,6 +241,31 @@ class TestSeeds:
         assert outcome.stats.nodes == 0
         assert outcome.certificate.rows == rows
 
+    @pytest.mark.parametrize(
+        "size,kwargs", [(4, {}), (5, dict(mode=SearchMode.FIRST_FOUND, node_limit=2000))]
+    )
+    def test_seed_rows_as_plain_integer_rows(self, size, kwargs):
+        table = normalize(builtin_certificate(15)).table
+        expected = run(15, size, seed_rows=(self.seed_row(),), **kwargs)
+        for seeds in ([table[2].tolist()], table[2:3], [tuple(table[2])]):
+            outcome = run(15, size, seed_rows=seeds, **kwargs)
+            assert outcome.kind is expected.kind
+            assert outcome.certificate == expected.certificate
+            assert outcome.stats.nodes == expected.stats.nodes
+
+    def test_full_seeding_returns_exactly_the_fixed_rows(self):
+        table = normalize(builtin_certificate(15)).table
+        outcome = run(15, 4, seed_rows=table[2:].tolist())
+        assert outcome.found and outcome.stats.nodes == 0
+        assert outcome.certificate.table.tolist() == [
+            [0] * 15, list(range(15)), *table[2:].tolist()
+        ]
+
+    def test_equal_seeds_rejected(self):
+        row = self.seed_row()
+        with pytest.raises(ValueError, match="not adjacent"):
+            run(15, 5, seed_rows=(row, row))
+
     def test_exhaustion_under_seed_is_not_a_global_verdict(self):
         # omega(9) = 3, so any orthomorphism row of Z_9 seeds an impossible
         # size-4 completion

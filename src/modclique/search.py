@@ -6,7 +6,10 @@ at 0, and whose later rows are lexicographically sorted.  The search
 therefore fixes rows 0 and 1, pins column 0 of every later row to 0, and
 assigns the remaining cells in column-major order (column j: row 2, then
 row 3, ..., then column j+1), so the pairwise difference constraints inside
-a column fail as early as possible.
+a column fail as early as possible.  No row pair repeats a difference, so
+rows differ pairwise at column 1 (hence a clique has at most k rows) and the
+lexicographic order of rows 2.. is their column-1 order: the engine keeps
+row t's column-1 value above row t-1's for t >= 3, and tracks no ties.
 
 For every unordered row pair the engine keeps a bitmask of difference values
 already consumed by earlier columns; a candidate value survives only if its
@@ -69,11 +72,12 @@ class SearchConfig:
     """Parameters for one search run.
 
     node_limit caps total assignments; in first-found mode it is split evenly
-    across ``restarts`` randomized passes seeded from ``rng_seed``.  seed_rows
-    (any integer rows of length k) are fixed as rows 2.. and must extend
-    {zero, identity} to a verified, normalized prefix; with seeds present an
-    exhausted tree yields the weaker "none under seed" verdict.  With
-    progress_interval set, progress lines go to stderr at most that often.
+    across ``restarts`` (at most node_limit) randomized passes seeded from
+    ``rng_seed``.  seed_rows (any integer rows of length k) are fixed as rows
+    2.. and must extend {zero, identity} to a verified, normalized prefix;
+    with seeds present an exhausted tree yields the weaker "none under seed"
+    verdict.  With progress_interval set, progress lines go to stderr at
+    most that often.
     """
 
     k: int
@@ -97,14 +101,18 @@ def _fixed_rows(config: SearchConfig) -> CliqueCertificate:
         raise ValueError("node limit must be positive")
     if config.restarts < 1:
         raise ValueError("restart count must be at least 1")
+    limit = config.node_limit
+    if config.mode is SearchMode.FIRST_FOUND and limit is not None and config.restarts > limit:
+        # each pass gets node_limit // restarts nodes: refuse a pass with none
+        raise ValueError(f"restart count {config.restarts} exceeds node limit {limit}")
     seeds = [] if config.seed_rows is None else list(config.seed_rows)
     if len(seeds) > size - 2:
         raise ValueError(f"{len(seeds)} seed rows cannot fit in a size-{size} target")
     free = size - 2 - len(seeds)
     if free:
-        # before its first node the engine holds k lex masks of k bits, one
-        # difference mask per row pair and, when first-found, a k-value order
-        # per free cell: refuse what the table cap would refuse
+        # before its first node the engine holds one difference mask per row
+        # pair and, when first-found, a k-value order per free cell: refuse
+        # what the table cap would refuse
         check_table_size(free * k, k)
         check_table_size(size, size)
     fixed = UncheckedCertificate(k, [[0] * k, range(k), *seeds])
@@ -121,17 +129,16 @@ _FOUND, _EXHAUSTED, _LIMIT = range(3)
 
 
 class _Engine:
-    """Backtracking state for one pass: one mutable grid, per-pair used
-    difference bitmasks, and lexicographic tie tracking between consecutive
-    rows.  Column 0 is pre-assigned: every row vanishes there, so every pair
-    starts with difference 0 consumed."""
+    """Backtracking state for one pass: one mutable grid whose first rows are
+    the fixed ones, and per-pair used difference bitmasks.  Column 0 is
+    pre-assigned: every row vanishes there, so every pair starts with
+    difference 0 consumed."""
 
-    def __init__(self, k: int, size: int, seed_values: Sequence[Sequence[int]] = ()):
+    def __init__(self, k: int, size: int, fixed: Sequence[Sequence[int]]):
         self.k = k
         self.full = (1 << k) - 1
-        fixed = [[0] * k, list(range(k))] + [list(v) for v in seed_values]
         self.base = len(fixed)
-        self.rows = fixed + [[0] * k for _ in range(size - self.base)]
+        self.rows = list(fixed) + [[0] * k for _ in range(size - self.base)]
         self.cells = [(t, j) for j in range(1, k) for t in range(self.base, size)]
         self.ncells = len(self.cells)
         # per unfixed row t, the (earlier row, mask slot) pairs it constrains
@@ -141,9 +148,6 @@ class _Engine:
             self.row_pairs.append([(self.rows[s], slot + s) for s in range(t)])
             slot += t
         self.masks = [1] * slot
-        self.ge_mask = [(self.full >> w) << w for w in range(k)]
-        # row t is lex-constrained against t-1 while their assigned prefixes agree
-        self.tied = [t >= 3 for t in range(size)]
         self.nodes = 0
         self.max_depth = 0
         self.value_orders: list[list[int]] | None = None
@@ -158,7 +162,8 @@ class _Engine:
         t, j = self.cells[ci]
         k = self.k
         full = self.full
-        allowed = full
+        # rows 2.. are lex sorted by column 1: keep values above row t-1's
+        allowed = full & -(2 << self.rows[t - 1][1]) if j == 1 and t >= 3 else full
         for src, slot in self.row_pairs[t - self.base]:
             free = ~self.masks[slot] & full
             r = src[j]
@@ -167,8 +172,6 @@ class _Engine:
             allowed &= free
             if not allowed:
                 return 0
-        if self.tied[t]:
-            allowed &= self.ge_mask[self.rows[t - 1][j]]
         return allowed
 
     def assign(self, ci: int, v: int):
@@ -177,18 +180,12 @@ class _Engine:
         self.rows[t][j] = v
         for src, slot in self.row_pairs[t - self.base]:
             self.masks[slot] |= 1 << ((v - src[j]) % k)
-        if self.tied[t] and v > self.rows[t - 1][j]:
-            self.tied[t] = False
-            return True
-        return False
 
-    def unassign(self, ci: int, v: int, cleared_tie: bool):
+    def unassign(self, ci: int, v: int):
         t, j = self.cells[ci]
         k = self.k
         for src, slot in self.row_pairs[t - self.base]:
             self.masks[slot] &= ~(1 << ((v - src[j]) % k))
-        if cleared_tie:
-            self.tied[t] = True
 
     def _report_progress(self):
         """Print a progress line if the interval has passed; the clock is
@@ -221,44 +218,39 @@ class _Engine:
         """Depth-first search of the whole tree with an explicit stack, so
         depth is bounded by the cell count, not the interpreter's recursion
         limit.  Value order and node accounting match a plain recursive DFS:
-        one node per value tried, counted before the budget check."""
-        # frame: [ci, candidate values, next index, assigned value, tie undo]
-        stack = [[0, self._values(0, self.allowed_mask(0)), 0, None, False]]
-        result = _EXHAUSTED
+        one node per value tried, counted before the budget check.  Returns
+        with grid and masks as they stand, so a witness stays in the grid."""
+        # frame of cell ci = stack[ci]: [candidate values, next index, assigned value]
+        stack = [[self._values(0, self.allowed_mask(0)), 0, None]]
         while stack:
-            frame = stack[-1]
-            ci = frame[0]
-            if frame[3] is not None:
-                self.unassign(ci, frame[3], frame[4])
-                frame[3] = None
-            values = frame[1]
-            if frame[2] >= len(values):
+            ci = len(stack) - 1
+            frame = stack[ci]
+            if frame[2] is not None:
+                self.unassign(ci, frame[2])
+                frame[2] = None
+            values = frame[0]
+            if frame[1] >= len(values):
                 stack.pop()
                 continue
-            v = values[frame[2]]
-            frame[2] += 1
+            v = values[frame[1]]
+            frame[1] += 1
             self.nodes += 1
             if self.node_budget is not None and self.nodes > self.node_budget:
-                result = _LIMIT
-                break
+                return _LIMIT
             if self.progress_interval is not None:
                 self._report_progress()
             if ci >= self.max_depth:
                 self.max_depth = ci + 1
-            frame[4] = self.assign(ci, v)
-            frame[3] = v
+            self.assign(ci, v)
+            frame[2] = v
             nci = ci + 1
             if nci == self.ncells:
-                result = _FOUND
-                break
+                return _FOUND
             allowed = self.allowed_mask(nci)
             if allowed:
-                stack.append([nci, self._values(nci, allowed), 0, None, False])
+                stack.append([self._values(nci, allowed), 0, None])
             # empty child: stay on this frame, next value after the undo above
-        for frame in reversed(stack):
-            if frame[3] is not None:
-                self.unassign(frame[0], frame[3], frame[4])
-        return result
+        return _EXHAUSTED
 
 
 def column_candidates(
@@ -273,8 +265,8 @@ def column_candidates(
     Recomputed from scratch, so membership is independent of any enumeration
     order; this is the reference semantics for the engine's incremental
     masks.  Column 0 is {0}, pinned by the normalization every searched row
-    obeys; the lexicographic-order constraint is separate and not applied
-    here.
+    obeys; the engine's lexicographic rule (at j == 1 and t >= 3, only values
+    above rows[t - 1][1]) is separate and not applied here.
     """
     validate_modulus(k)
     if t < 1 or t >= len(rows):
@@ -329,6 +321,9 @@ def search(config: SearchConfig) -> SearchOutcome:
     if base >= size:
         # every row already pinned by normalization and seeds
         return finish(OutcomeKind.FOUND, fixed, 0, 0)
+    if size > k:
+        # rows differ pairwise at column 1, so a clique has at most k rows
+        return finish(OutcomeKind.EXHAUSTED_NONE, None, 0, 0)
     exhausted_kind = (
         OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if base > 2 else OutcomeKind.EXHAUSTED_NONE
     )
@@ -338,13 +333,13 @@ def search(config: SearchConfig) -> SearchOutcome:
         passes, budget = 1, config.node_limit
     else:
         passes = config.restarts
-        budget = None if config.node_limit is None else max(1, config.node_limit // passes)
+        budget = None if config.node_limit is None else config.node_limit // passes
 
     total_nodes = 0
     depth = 0
-    seed_values = fixed.table[2:].tolist()
+    fixed_rows = fixed.table.tolist()
     for idx in range(passes):
-        eng = _Engine(k, size, seed_values)
+        eng = _Engine(k, size, fixed_rows)
         eng.node_budget = budget
         eng.progress_interval = config.progress_interval
         if config.mode is SearchMode.FIRST_FOUND:
@@ -354,7 +349,7 @@ def search(config: SearchConfig) -> SearchOutcome:
         total_nodes += eng.nodes
         depth = max(depth, eng.max_depth)
         if res == _FOUND:
-            # the grid still holds the witness: unassign never clears values
+            # run returns at the witness without undoing it: the grid holds it
             cert = CliqueCertificate(k, eng.rows)
             return finish(OutcomeKind.FOUND, cert, total_nodes, depth, idx + 1)
         if res == _EXHAUSTED:

@@ -207,6 +207,18 @@ class TestSearch:
         assert code1 == code2 == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_more_restarts_than_nodes_refused_fast(self, capsys):
+        # each pass gets node_limit // restarts nodes: with none it used to
+        # build one engine per pass
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "search", "-k", "15", "-s", "4", "--first-found",
+            "--node-limit", "10", "--restarts", "1000000000",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: restart count 1000000000 exceeds node limit 10\n"
+
     def test_workers_flag_is_checked_and_ignored(self, capsys):
         args = ("search", "-k", "9", "-s", "4", "--json")
         payloads = []

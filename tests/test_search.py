@@ -13,6 +13,7 @@ from modclique import (
     identity_function,
     is_normalized,
     normalize,
+    prime_construction,
     search,
     verify,
     zero_function,
@@ -20,6 +21,12 @@ from modclique import (
 from modclique.search import _Engine
 
 from conftest import OMEGA
+
+
+K15 = normalize(builtin_certificate(15)).table
+P5 = normalize(prime_construction(5)).table
+P7 = normalize(prime_construction(7)).table
+P11 = normalize(prime_construction(11)).table
 
 
 def run(k, size, **kwargs):
@@ -71,30 +78,31 @@ class TestColumnCandidates:
     def test_matches_engine_masks(self, k, size):
         # a seeded random walk of assign/unassign through the engine; at every
         # cell reached, its incremental mask must equal the from-scratch set,
-        # narrowed to values >= the row above while the two rows are tied
+        # narrowed at column 1 of rows t >= 3 to values above the row above
         rng = random.Random(f"{k}:{size}")
-        eng = _Engine(k, size)
+        eng = _Engine(k, size, [[0] * k, list(range(k))])
         stack = []
-        checked = tied_checks = 0
+        checked = lex_checks = 0
         for _ in range(400):
             ci = len(stack)
             if ci < eng.ncells:
                 t, j = eng.cells[ci]
                 allowed = eng.allowed_mask(ci)
                 expected = column_candidates(k, eng.rows, t, j)
-                if eng.tied[t]:
-                    expected = {v for v in expected if v >= eng.rows[t - 1][j]}
-                    tied_checks += 1
+                if j == 1 and t >= 3:
+                    expected = {v for v in expected if v > eng.rows[t - 1][1]}
+                    lex_checks += 1
                 assert allowed == sum(1 << v for v in expected), (t, j)
                 checked += 1
                 if allowed and rng.random() < 0.75:
                     v = rng.choice(sorted(expected))
-                    stack.append((ci, v, eng.assign(ci, v)))
+                    eng.assign(ci, v)
+                    stack.append((ci, v))
                     continue
             if stack:
                 eng.unassign(*stack.pop())
         assert checked > 100
-        assert tied_checks > 0 or size == 3
+        assert lex_checks > 0 or size == 3
 
 
 class TestVerdictsAgainstOracle:
@@ -126,6 +134,38 @@ class TestVerdictsAgainstOracle:
         outcome = run(k, size)
         assert outcome.kind is OutcomeKind.EXHAUSTED_NONE
         assert outcome.stats.nodes == nodes
+
+    # more of the same fingerprint, incl. seeded runs whose row t - 1 is a
+    # seed; seeds are rows of normalized cliques, every run is exhaustive
+    @pytest.mark.parametrize(
+        "k,size,seeds,kind,nodes",
+        [
+            (15, 4, K15[2:3], OutcomeKind.FOUND, 4_770),
+            (15, 4, K15[3:4], OutcomeKind.FOUND, 13_155),
+            (15, 5, K15[2:4], OutcomeKind.EXHAUSTED_NONE_UNDER_SEED, 4_242),
+            (7, 7, P7[2:3], OutcomeKind.FOUND, 26),
+            (11, 6, P11[2:4], OutcomeKind.FOUND, 266),
+            (11, 5, P11[5:6], OutcomeKind.FOUND, 76),
+            (13, 4, None, OutcomeKind.FOUND, 75_043),
+            (11, 4, None, OutcomeKind.FOUND, 8_610),
+            (7, 7, None, OutcomeKind.FOUND, 37),
+        ],
+    )
+    def test_pinned_node_counts(self, k, size, seeds, kind, nodes):
+        outcome = run(k, size, seed_rows=seeds)
+        assert outcome.kind is kind
+        assert outcome.stats.nodes == nodes
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, dict(mode=SearchMode.FIRST_FOUND), dict(seed_rows=P5[2:])],
+    )
+    def test_more_rows_than_k_needs_no_search(self, kwargs):
+        # rows of a clique differ pairwise at column 1, so s <= k: a global
+        # verdict even under seeds
+        outcome = run(5, 6, **kwargs)
+        assert outcome.kind is OutcomeKind.EXHAUSTED_NONE
+        assert outcome.stats.nodes == 0
 
 
 class TestFoundWitnesses:
@@ -307,6 +347,7 @@ class TestConfigValidation:
             dict(k=5, target_size=1),
             dict(k=5, target_size=3, node_limit=0),
             dict(k=5, target_size=3, restarts=0),
+            dict(k=5, target_size=3, mode=SearchMode.FIRST_FOUND, node_limit=4, restarts=5),
         ],
     )
     def test_rejected(self, kwargs):

@@ -8,6 +8,7 @@ diagnostics to stderr.  Exit codes are stable:
      nonexistence, or an oracle self-check failed
   2  usage or input error (bad flags, malformed files, out-of-cap k)
   3  search hit its node budget without reaching a verdict
+  141  stdout's reader closed the pipe (the code a shell reports for SIGPIPE)
 
 Every subcommand accepts --json for machine-readable output with the field
 names documented in the README.
@@ -19,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(text: str, out: str | None):
@@ -357,6 +360,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader went away, which is not an input error: entry handles it
+        raise
     except (OSError, ValueError) as exc:
         # the one boundary for input errors: unreadable, undecodable or
         # malformed files, out-of-cap moduli, bad flag combinations and
@@ -366,7 +372,16 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader closed the pipe (``modclique bound --upto N | head``):
+        # exit as a process killed by SIGPIPE does, and point stdout at
+        # devnull so the interpreter's last flush finds no broken pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

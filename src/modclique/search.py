@@ -12,11 +12,12 @@ lexicographic order of rows 2.. is their column-1 order: the engine keeps
 row t's column-1 value above row t-1's for t >= 3, and tracks no ties.
 
 For every unordered row pair the engine keeps a bitmask of difference values
-already consumed by earlier columns; a candidate value survives only if its
-difference with every earlier row at that column is still unused for the
-pair.  An exhausted tree is therefore a proof that no clique of the target
-size exists anywhere in G_k -- unless seed rows were supplied, in which case
-only the seeded subtree was searched and the verdict says so.
+already consumed by earlier columns, stored doubled (see ``_Engine``); a
+candidate value survives only if its difference with every earlier row at
+that column is still unused for the pair.  An exhausted tree is therefore a
+proof that no clique of the target size exists anywhere in G_k -- unless
+seed rows were supplied, in which case only the seeded subtree was searched
+and the verdict says so.
 
 Found witnesses are re-verified through the certificate module and come out
 already in normalized form.
@@ -130,127 +131,165 @@ _FOUND, _EXHAUSTED, _LIMIT = range(3)
 
 class _Engine:
     """Backtracking state for one pass: one mutable grid whose first rows are
-    the fixed ones, and per-pair used difference bitmasks.  Column 0 is
+    the fixed ones, and per-pair used difference masks.  Column 0 is
     pre-assigned: every row vanishes there, so every pair starts with
-    difference 0 consumed."""
+    difference 0 consumed.
+
+    A pair's used differences are kept doubled, as ``used | used << k``.
+    Value v at a cell is blocked by the pair with earlier row src exactly
+    when the difference (v - src[j]) mod k is used, and bit v of
+    ``used2 >> (k - src[j])`` is that bit of ``used`` for every v < k: for
+    v >= src[j] it comes from the upper copy, for v < src[j] from the lower
+    one, which is the wrap-around.  So a cell's allowed set is one shift and
+    OR per pair, with no rotation and no branch on src[j]."""
 
     def __init__(self, k: int, size: int, fixed: Sequence[Sequence[int]]):
         self.k = k
         self.full = (1 << k) - 1
-        self.base = len(fixed)
-        self.rows = list(fixed) + [[0] * k for _ in range(size - self.base)]
-        self.cells = [(t, j) for j in range(1, k) for t in range(self.base, size)]
+        # bit2[d] marks difference d in both halves of a doubled mask; an
+        # index d - k .. -1 wraps to d mod k
+        self.bit2 = [(1 | 1 << k) << d for d in range(k)]
+        base = len(fixed)
+        self.rows = list(fixed) + [[0] * k for _ in range(size - base)]
+        self.cells = [(t, j) for j in range(1, k) for t in range(base, size)]
         self.ncells = len(self.cells)
         # per unfixed row t, the (earlier row, mask slot) pairs it constrains
-        self.row_pairs: list[list[tuple[list[int], int]]] = []
+        row_pairs = {}
         slot = 0
-        for t in range(self.base, size):
-            self.row_pairs.append([(self.rows[s], slot + s) for s in range(t)])
+        for t in range(base, size):
+            row_pairs[t] = [(self.rows[s], slot + s) for s in range(t)]
             slot += t
-        self.masks = [1] * slot
+        self.used2 = [self.bit2[0]] * slot
+        # per cell: its row, column and pairs, and the row above when the
+        # column-1 lex rule applies there (rows 2.. sorted by column 1)
+        self.cell_row = [self.rows[t] for t, _ in self.cells]
+        self.cell_col = [j for _, j in self.cells]
+        self.cell_pairs = [row_pairs[t] for t, _ in self.cells]
+        self.cell_lex = [self.rows[t - 1] if j == 1 and t >= 3 else None for t, j in self.cells]
         self.nodes = 0
         self.max_depth = 0
         self.value_orders: list[list[int]] | None = None
         self.node_budget: int | None = None
         self.progress_interval: float | None = None
         self.progress_label = ""
-        self._last_sync = 0
         self._started = time.perf_counter()
         self._last_progress = self._started
 
     def allowed_mask(self, ci: int) -> int:
-        t, j = self.cells[ci]
+        j = self.cell_col[ci]
         k = self.k
-        full = self.full
-        # rows 2.. are lex sorted by column 1: keep values above row t-1's
-        allowed = full & -(2 << self.rows[t - 1][1]) if j == 1 and t >= 3 else full
-        for src, slot in self.row_pairs[t - self.base]:
-            free = ~self.masks[slot] & full
-            r = src[j]
-            if r:
-                free = ((free << r) | (free >> (k - r))) & full
-            allowed &= free
-            if not allowed:
-                return 0
-        return allowed
+        blocked = 0
+        for src, slot in self.cell_pairs[ci]:
+            blocked |= self.used2[slot] >> (k - src[j])
+        lex = self.cell_lex[ci]
+        if lex is not None:
+            blocked |= (2 << lex[1]) - 1
+        return ~blocked & self.full
 
     def assign(self, ci: int, v: int):
-        t, j = self.cells[ci]
-        k = self.k
-        self.rows[t][j] = v
-        for src, slot in self.row_pairs[t - self.base]:
-            self.masks[slot] |= 1 << ((v - src[j]) % k)
+        j = self.cell_col[ci]
+        self.cell_row[ci][j] = v
+        for src, slot in self.cell_pairs[ci]:
+            self.used2[slot] |= self.bit2[v - src[j]]
 
     def unassign(self, ci: int, v: int):
-        t, j = self.cells[ci]
-        k = self.k
-        for src, slot in self.row_pairs[t - self.base]:
-            self.masks[slot] &= ~(1 << ((v - src[j]) % k))
+        j = self.cell_col[ci]
+        for src, slot in self.cell_pairs[ci]:
+            self.used2[slot] ^= self.bit2[v - src[j]]
 
-    def _report_progress(self):
-        """Print a progress line if the interval has passed; the clock is
-        read at most once per 256 nodes."""
-        if self.nodes - self._last_sync < 256:
-            return
-        self._last_sync = self.nodes
+    def _report_progress(self, nodes: int, depth: int):
+        """Print a progress line if the interval has passed."""
         now = time.perf_counter()
         if now - self._last_progress >= self.progress_interval:
             self._last_progress = now
             sys.stderr.write(
-                f"progress{self.progress_label}: nodes={self.nodes} "
-                f"depth={self.max_depth}/{self.ncells} "
+                f"progress{self.progress_label}: nodes={nodes} "
+                f"depth={depth}/{self.ncells} "
                 f"elapsed={now - self._started:.1f}s\n"
             )
             sys.stderr.flush()
 
-    def _values(self, ci: int, allowed: int) -> list[int]:
-        if self.value_orders is None:
-            values = []
-            m = allowed
-            while m:
-                b = m & -m
-                values.append(b.bit_length() - 1)
-                m ^= b
-            return values
-        return [v for v in self.value_orders[ci] if (allowed >> v) & 1]
-
     def run(self) -> int:
-        """Depth-first search of the whole tree with an explicit stack, so
-        depth is bounded by the cell count, not the interpreter's recursion
-        limit.  Value order and node accounting match a plain recursive DFS:
-        one node per value tried, counted before the budget check.  Returns
-        with grid and masks as they stand, so a witness stays in the grid."""
-        # frame of cell ci = stack[ci]: [candidate values, next index, assigned value]
-        stack = [[self._values(0, self.allowed_mask(0)), 0, None]]
-        while stack:
-            ci = len(stack) - 1
-            frame = stack[ci]
-            if frame[2] is not None:
-                self.unassign(ci, frame[2])
-                frame[2] = None
-            values = frame[0]
-            if frame[1] >= len(values):
-                stack.pop()
-                continue
-            v = values[frame[1]]
-            frame[1] += 1
-            self.nodes += 1
-            if self.node_budget is not None and self.nodes > self.node_budget:
-                return _LIMIT
-            if self.progress_interval is not None:
-                self._report_progress()
-            if ci >= self.max_depth:
-                self.max_depth = ci + 1
-            self.assign(ci, v)
-            frame[2] = v
-            nci = ci + 1
-            if nci == self.ncells:
-                return _FOUND
-            allowed = self.allowed_mask(nci)
-            if allowed:
-                stack.append([self._values(nci, allowed), 0, None])
-            # empty child: stay on this frame, next value after the undo above
-        return _EXHAUSTED
+        """Depth-first search of the whole tree in one loop over per-depth
+        arrays, so depth is bounded by the cell count, not the interpreter's
+        recursion limit.  Value order and node accounting match a plain
+        recursive DFS over ``allowed_mask``: one node per value tried,
+        counted before the budget check, values ascending or, first-found,
+        in the cell's value order.  The loop inlines ``assign``,
+        ``unassign`` and ``allowed_mask`` and reads only locals and the
+        per-cell lists.  Returns with grid and masks as they stand, so a
+        witness stays in the grid."""
+        k, full, bit2, used2 = self.k, self.full, self.bit2, self.used2
+        cell_row, cell_col, cell_pairs, cell_lex = (
+            self.cell_row, self.cell_col, self.cell_pairs, self.cell_lex)
+        ncells = self.ncells
+        # first-found frames pop from the end of the cell's order, reversed
+        orders = None if self.value_orders is None else [o[::-1] for o in self.value_orders]
+        budget, interval = self.node_budget, self.progress_interval
+        # the budget is checked, and the clock read once per 256 nodes, only
+        # when the node count reaches ``check``
+        never = sys.maxsize
+        stop = never if budget is None else budget + 1
+        check = min(stop, never if interval is None else 256)
+        nodes = max_depth = 0
+        # per depth, the open cell's untried values (a bitmask, or a list
+        # first-found); its assigned value is read back from the grid
+        untried = [0] * ncells
+        allowed = self.allowed_mask(0)
+        untried[0] = allowed if orders is None else [v for v in orders[0] if allowed >> v & 1]
+        ci = 0
+        try:
+            while True:
+                rest = untried[ci]
+                if rest:
+                    if orders is None:
+                        low = rest & -rest
+                        untried[ci] = rest ^ low
+                        v = low.bit_length() - 1
+                    else:
+                        v = rest.pop()
+                    nodes += 1
+                    if nodes >= check:
+                        if nodes >= stop:
+                            return _LIMIT
+                        self._report_progress(nodes, max_depth)
+                        check = min(stop, nodes + 256)
+                    if ci >= max_depth:
+                        max_depth = ci + 1
+                    j = cell_col[ci]
+                    cell_row[ci][j] = v
+                    for src, slot in cell_pairs[ci]:
+                        used2[slot] |= bit2[v - src[j]]
+                    nci = ci + 1
+                    if nci == ncells:
+                        return _FOUND
+                    j = cell_col[nci]
+                    blocked = 0
+                    for src, slot in cell_pairs[nci]:
+                        blocked |= used2[slot] >> (k - src[j])
+                    lex = cell_lex[nci]
+                    if lex is not None:
+                        blocked |= (2 << lex[1]) - 1
+                    allowed = ~blocked & full
+                    if allowed:
+                        untried[nci] = (
+                            allowed if orders is None
+                            else [w for w in orders[nci] if allowed >> w & 1]
+                        )
+                        ci = nci
+                        continue
+                    # empty child: undo v below, then try the next value here
+                else:
+                    ci -= 1
+                    if ci < 0:
+                        return _EXHAUSTED
+                # undo the value at cell ci
+                j = cell_col[ci]
+                v = cell_row[ci][j]
+                for src, slot in cell_pairs[ci]:
+                    used2[slot] ^= bit2[v - src[j]]
+        finally:
+            self.nodes, self.max_depth = nodes, max_depth
 
 
 def column_candidates(

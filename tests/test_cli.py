@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +11,7 @@ from modclique import builtin_certificate, normalize, parse, verify
 from modclique.certificate import MAX_FILE_BYTES
 from modclique.cli import main
 
-from conftest import CERTS_DIR
+from conftest import CERTS_DIR, REPO_ROOT
 
 K15 = str(CERTS_DIR / "k15.cert")
 K21 = str(CERTS_DIR / "k21.cert")
@@ -386,6 +389,26 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_141_quietly(self):
+        # the table is about 90 KB, more than a pipe buffers, so the CLI is
+        # still writing when the reader closes the pipe after one line
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modclique", "bound", "--upto", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first.split() == [b"k", b"bound", b"exact", b"derivation"]
+        assert err == b""
+        assert proc.returncode == 141
 
 
 # every path on which the CLI reads a certificate file: argv for a file f

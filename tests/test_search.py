@@ -18,7 +18,7 @@ from modclique import (
     verify,
     zero_function,
 )
-from modclique.search import _Engine
+from modclique.search import _Engine, _restart_orders
 
 from conftest import OMEGA
 
@@ -103,6 +103,113 @@ class TestColumnCandidates:
                 eng.unassign(*stack.pop())
         assert checked > 100
         assert lex_checks > 0 or size == 3
+
+
+class _Limit(Exception):
+    pass
+
+
+def reference_search(k, size, seeds=(), mode=SearchMode.EXHAUSTIVE, node_limit=None,
+                     restarts=1, rng_seed=0):
+    """What ``search`` returns, (kind, nodes, max_depth, restarts_used,
+    witness rows), from a plain recursive DFS over ``column_candidates``, the
+    column-1 lex rule and each cell's value order: the reference semantics the
+    engine's inlined mask arithmetic must reproduce.  Only for runs that
+    reach the engine: 2 + len(seeds) < size <= k."""
+    base = 2 + len(seeds)
+    cells = [(t, j) for j in range(1, k) for t in range(base, size)]
+    if mode is SearchMode.EXHAUSTIVE:
+        passes, budget = 1, node_limit
+    else:
+        passes = restarts
+        budget = None if node_limit is None else node_limit // passes
+    total = depth = 0
+    for idx in range(passes):
+        orders = None
+        if mode is SearchMode.FIRST_FOUND:
+            orders = _restart_orders(k, size, base, rng_seed, idx)
+        rows = [[0] * k, list(range(k)), *map(list, seeds)]
+        rows += [[0] * k for _ in range(size - base)]
+        nodes = max_depth = 0
+
+        def dfs(ci):
+            nonlocal nodes, max_depth
+            if ci == len(cells):
+                return True
+            t, j = cells[ci]
+            allowed = column_candidates(k, rows, t, j)
+            if j == 1 and t >= 3:
+                allowed = {v for v in allowed if v > rows[t - 1][1]}
+            for v in range(k) if orders is None else orders[ci]:
+                if v in allowed:
+                    # one node per value tried, counted before the budget check
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        raise _Limit
+                    max_depth = max(max_depth, ci + 1)
+                    rows[t][j] = v
+                    if dfs(ci + 1):
+                        return True
+            return False
+
+        try:
+            found = dfs(0)
+        except _Limit:
+            found = None
+        total += nodes
+        depth = max(depth, max_depth)
+        if found:
+            return OutcomeKind.FOUND, total, depth, idx + 1, rows
+        if found is False:
+            kind = OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if seeds else OutcomeKind.EXHAUSTED_NONE
+            return kind, total, depth, idx + 1, None
+    return OutcomeKind.LIMIT_REACHED, total, depth, passes, None
+
+
+class TestMatchesReferenceDFS:
+    def check(self, k, size, seeds=(), **kwargs):
+        outcome = run(k, size, seed_rows=seeds or None, **kwargs)
+        cert = outcome.certificate
+        got = (
+            outcome.kind,
+            outcome.stats.nodes,
+            outcome.stats.max_depth,
+            outcome.stats.restarts_used,
+            None if cert is None else cert.table.tolist(),
+        )
+        assert got == reference_search(k, size, seeds, **kwargs)
+
+    # (10, 4) walks 1,163,135 nodes, some 25 s for the reference: its first
+    # 200,000 stand in for it, ending in LIMIT
+    @pytest.mark.parametrize("k,size", [(k, s) for k in range(3, 11) for s in (3, 4) if s <= k])
+    def test_exhaustive(self, k, size):
+        self.check(k, size, node_limit=200_000 if (k, size) == (10, 4) else None)
+
+    @pytest.mark.parametrize(
+        "k,size,seeds",
+        [(15, 4, K15[2:3]), (15, 4, K15[3:4]), (15, 5, K15[2:4]), (7, 7, P7[2:3])],
+    )
+    def test_seeded(self, k, size, seeds):
+        self.check(k, size, seeds.tolist())
+
+    @pytest.mark.parametrize(
+        "k,size,node_limit,restarts,rng_seed",
+        [
+            (7, 7, None, 1, 1),
+            (7, 7, None, 1, 4),
+            (11, 4, None, 1, 1),
+            (11, 4, 3_000, 3, 0),
+            (15, 4, 6_000, 3, 0),
+            (15, 4, 6_000, 3, 2),
+            (15, 4, 2_000_000, 40, 3),
+            (9, 4, None, 3, 7),
+        ],
+    )
+    def test_first_found(self, k, size, node_limit, restarts, rng_seed):
+        self.check(
+            k, size, mode=SearchMode.FIRST_FOUND,
+            node_limit=node_limit, restarts=restarts, rng_seed=rng_seed,
+        )
 
 
 class TestVerdictsAgainstOracle:

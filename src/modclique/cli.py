@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a construction certificate")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--kind", choices=["prime"], default="prime")
     p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=_cmd_gen)
 

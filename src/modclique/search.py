@@ -19,6 +19,11 @@ proof that no clique of the target size exists anywhere in G_k -- unless
 seed rows were supplied, in which case only the seeded subtree was searched
 and the verdict says so.
 
+Each search builds one engine, whose per-cell tables serve every pass (one
+exhaustive pass, or one per first-found restart).  A pass is one call of
+``_Engine.run``, whose loop is the only code that opens a cell, assigns a
+value or undoes one.
+
 Found witnesses are re-verified through the certificate module and come out
 already in normalized form.
 """
@@ -77,8 +82,8 @@ class SearchConfig:
     ``rng_seed``.  seed_rows (any integer rows of length k) are fixed as rows
     2.. and must extend {zero, identity} to a verified, normalized prefix;
     with seeds present an exhausted tree yields the weaker "none under seed"
-    verdict.  With progress_interval set, progress lines go to stderr at
-    most that often.
+    verdict.  With progress_interval set (seconds, at least 0), progress
+    lines go to stderr at most that often.
     """
 
     k: int
@@ -106,9 +111,15 @@ def _fixed_rows(config: SearchConfig) -> CliqueCertificate:
     if config.mode is SearchMode.FIRST_FOUND and limit is not None and config.restarts > limit:
         # each pass gets node_limit // restarts nodes: refuse a pass with none
         raise ValueError(f"restart count {config.restarts} exceeds node limit {limit}")
+    interval = config.progress_interval
+    if interval is not None and not interval >= 0:
+        # NaN compares false and would never print; a negative one, every 256 nodes
+        raise ValueError(f"progress interval must be at least 0 seconds, got {interval}")
     seeds = [] if config.seed_rows is None else list(config.seed_rows)
     if len(seeds) > size - 2:
         raise ValueError(f"{len(seeds)} seed rows cannot fit in a size-{size} target")
+    # zero, identity and the seeds are built even when no row is left free
+    check_table_size(2 + len(seeds), k)
     free = size - 2 - len(seeds)
     if free:
         # before its first node the engine holds one difference mask per row
@@ -130,10 +141,11 @@ _FOUND, _EXHAUSTED, _LIMIT = range(3)
 
 
 class _Engine:
-    """Backtracking state for one pass: one mutable grid whose first rows are
-    the fixed ones, and per-pair used difference masks.  Column 0 is
-    pre-assigned: every row vanishes there, so every pair starts with
-    difference 0 consumed.
+    """Backtracking state for one search: one mutable grid whose first rows
+    are the fixed ones, and per-cell tables built once.  Every pass of the
+    search is one call of ``run``, the only code that opens a cell, assigns
+    a value and undoes one.  Column 0 is pre-assigned: every row vanishes
+    there, so every pair starts with difference 0 consumed.
 
     A pair's used differences are kept doubled, as ``used | used << k``.
     Value v at a cell is blocked by the pair with earlier row src exactly
@@ -145,151 +157,109 @@ class _Engine:
 
     def __init__(self, k: int, size: int, fixed: Sequence[Sequence[int]]):
         self.k = k
-        self.full = (1 << k) - 1
-        # bit2[d] marks difference d in both halves of a doubled mask; an
-        # index d - k .. -1 wraps to d mod k
-        self.bit2 = [(1 | 1 << k) << d for d in range(k)]
         base = len(fixed)
         self.rows = list(fixed) + [[0] * k for _ in range(size - base)]
-        self.cells = [(t, j) for j in range(1, k) for t in range(base, size)]
-        self.ncells = len(self.cells)
-        # per unfixed row t, the (earlier row, mask slot) pairs it constrains
-        row_pairs = {}
-        slot = 0
-        for t in range(base, size):
-            row_pairs[t] = [(self.rows[s], slot + s) for s in range(t)]
-            slot += t
-        self.used2 = [self.bit2[0]] * slot
+        # free cells in column-major order
+        cells = [(t, j) for j in range(1, k) for t in range(base, size)]
+        # row pair (s, t), s < t, keeps its used differences in mask slot
+        # t(t-1)/2 + s; per unfixed row t, its (earlier row, slot) pairs
+        row_pairs = {t: [(self.rows[s], t * (t - 1) // 2 + s) for s in range(t)]
+                     for t in range(base, size)}
         # per cell: its row, column and pairs, and the row above when the
         # column-1 lex rule applies there (rows 2.. sorted by column 1)
-        self.cell_row = [self.rows[t] for t, _ in self.cells]
-        self.cell_col = [j for _, j in self.cells]
-        self.cell_pairs = [row_pairs[t] for t, _ in self.cells]
-        self.cell_lex = [self.rows[t - 1] if j == 1 and t >= 3 else None for t, j in self.cells]
-        self.nodes = 0
-        self.max_depth = 0
-        self.value_orders: list[list[int]] | None = None
-        self.node_budget: int | None = None
-        self.progress_interval: float | None = None
-        self.progress_label = ""
-        self._started = time.perf_counter()
-        self._last_progress = self._started
+        self.cell_row = [self.rows[t] for t, _ in cells]
+        self.cell_col = [j for _, j in cells]
+        self.cell_pairs = [row_pairs[t] for t, _ in cells]
+        self.cell_lex = [self.rows[t - 1] if j == 1 and t >= 3 else None for t, j in cells]
 
-    def allowed_mask(self, ci: int) -> int:
-        j = self.cell_col[ci]
-        k = self.k
-        blocked = 0
-        for src, slot in self.cell_pairs[ci]:
-            blocked |= self.used2[slot] >> (k - src[j])
-        lex = self.cell_lex[ci]
-        if lex is not None:
-            blocked |= (2 << lex[1]) - 1
-        return ~blocked & self.full
-
-    def assign(self, ci: int, v: int):
-        j = self.cell_col[ci]
-        self.cell_row[ci][j] = v
-        for src, slot in self.cell_pairs[ci]:
-            self.used2[slot] |= self.bit2[v - src[j]]
-
-    def unassign(self, ci: int, v: int):
-        j = self.cell_col[ci]
-        for src, slot in self.cell_pairs[ci]:
-            self.used2[slot] ^= self.bit2[v - src[j]]
-
-    def _report_progress(self, nodes: int, depth: int):
-        """Print a progress line if the interval has passed."""
-        now = time.perf_counter()
-        if now - self._last_progress >= self.progress_interval:
-            self._last_progress = now
-            sys.stderr.write(
-                f"progress{self.progress_label}: nodes={nodes} "
-                f"depth={depth}/{self.ncells} "
-                f"elapsed={now - self._started:.1f}s\n"
-            )
-            sys.stderr.flush()
-
-    def run(self) -> int:
-        """Depth-first search of the whole tree in one loop over per-depth
-        arrays, so depth is bounded by the cell count, not the interpreter's
-        recursion limit.  Value order and node accounting match a plain
-        recursive DFS over ``allowed_mask``: one node per value tried,
-        counted before the budget check, values ascending or, first-found,
-        in the cell's value order.  The loop inlines ``assign``,
-        ``unassign`` and ``allowed_mask`` and reads only locals and the
-        per-cell lists.  Returns with grid and masks as they stand, so a
-        witness stays in the grid."""
-        k, full, bit2, used2 = self.k, self.full, self.bit2, self.used2
+    def run(self, orders: list[list[int]] | None, budget: int | None,
+            progress_interval: float | None, label: str) -> tuple[int, int, int]:
+        """One pass: a depth-first search of the whole tree, from fresh
+        masks, in one loop over per-depth arrays, so depth is bounded by the
+        cell count, not the interpreter's recursion limit.  Value order and
+        node accounting match a plain recursive DFS over
+        ``column_candidates`` and the column-1 lex rule: one node per value
+        tried, counted before the budget check of at most ``budget`` nodes,
+        values ascending or, with ``orders`` (one value order per cell), in
+        the cell's order.  With ``progress_interval`` set, a progress line
+        tagged with ``label`` goes to stderr at most that often.  Returns
+        (verdict, nodes, max_depth) with the grid as it stands, so a
+        witness stays in ``rows``.  Free cells keep an earlier pass's values
+        until assigned, but no cell is read before this pass assigns it."""
+        k, size = self.k, len(self.rows)
         cell_row, cell_col, cell_pairs, cell_lex = (
             self.cell_row, self.cell_col, self.cell_pairs, self.cell_lex)
-        ncells = self.ncells
-        # first-found frames pop from the end of the cell's order, reversed
-        orders = None if self.value_orders is None else [o[::-1] for o in self.value_orders]
-        budget, interval = self.node_budget, self.progress_interval
+        ncells = len(cell_col)
+        full = (1 << k) - 1
+        # bit2[d] marks difference d in both halves of a doubled mask; an
+        # index d - k .. -1 wraps to d mod k
+        bit2 = [(1 | 1 << k) << d for d in range(k)]
+        used2 = [bit2[0]] * (size * (size - 1) // 2)
+        # first-found cells pop from the end of their order, so reverse it
+        if orders is not None:
+            orders = [o[::-1] for o in orders]
         # the budget is checked, and the clock read once per 256 nodes, only
         # when the node count reaches ``check``
         never = sys.maxsize
         stop = never if budget is None else budget + 1
-        check = min(stop, never if interval is None else 256)
+        check = min(stop, never if progress_interval is None else 256)
+        started = last_progress = time.perf_counter()
         nodes = max_depth = 0
         # per depth, the open cell's untried values (a bitmask, or a list
         # first-found); its assigned value is read back from the grid
         untried = [0] * ncells
-        allowed = self.allowed_mask(0)
-        untried[0] = allowed if orders is None else [v for v in orders[0] if allowed >> v & 1]
         ci = 0
-        try:
-            while True:
-                rest = untried[ci]
-                if rest:
-                    if orders is None:
-                        low = rest & -rest
-                        untried[ci] = rest ^ low
-                        v = low.bit_length() - 1
-                    else:
-                        v = rest.pop()
-                    nodes += 1
-                    if nodes >= check:
-                        if nodes >= stop:
-                            return _LIMIT
-                        self._report_progress(nodes, max_depth)
-                        check = min(stop, nodes + 256)
-                    if ci >= max_depth:
-                        max_depth = ci + 1
-                    j = cell_col[ci]
-                    cell_row[ci][j] = v
-                    for src, slot in cell_pairs[ci]:
-                        used2[slot] |= bit2[v - src[j]]
-                    nci = ci + 1
-                    if nci == ncells:
-                        return _FOUND
-                    j = cell_col[nci]
-                    blocked = 0
-                    for src, slot in cell_pairs[nci]:
-                        blocked |= used2[slot] >> (k - src[j])
-                    lex = cell_lex[nci]
-                    if lex is not None:
-                        blocked |= (2 << lex[1]) - 1
-                    allowed = ~blocked & full
-                    if allowed:
-                        untried[nci] = (
-                            allowed if orders is None
-                            else [w for w in orders[nci] if allowed >> w & 1]
-                        )
-                        ci = nci
-                        continue
-                    # empty child: undo v below, then try the next value here
-                else:
-                    ci -= 1
-                    if ci < 0:
-                        return _EXHAUSTED
-                # undo the value at cell ci
+        while True:
+            # open cell ci
+            j = cell_col[ci]
+            blocked = 0
+            for src, slot in cell_pairs[ci]:
+                blocked |= used2[slot] >> (k - src[j])
+            lex = cell_lex[ci]
+            if lex is not None:
+                blocked |= (2 << lex[1]) - 1
+            rest = ~blocked & full
+            if rest and orders is not None:
+                rest = untried[ci] = [w for w in orders[ci] if rest >> w & 1]
+            # back up past cells with no untried value, undoing their values
+            while not rest:
+                ci -= 1
+                if ci < 0:
+                    return _EXHAUSTED, nodes, max_depth
                 j = cell_col[ci]
                 v = cell_row[ci][j]
                 for src, slot in cell_pairs[ci]:
                     used2[slot] ^= bit2[v - src[j]]
-        finally:
-            self.nodes, self.max_depth = nodes, max_depth
+                rest = untried[ci]
+            # assign the next untried value
+            if orders is None:
+                low = rest & -rest
+                untried[ci] = rest ^ low
+                v = low.bit_length() - 1
+            else:
+                v = rest.pop()
+            nodes += 1
+            if nodes >= check:
+                if nodes >= stop:
+                    return _LIMIT, nodes, max_depth
+                now = time.perf_counter()
+                if now - last_progress >= progress_interval:
+                    last_progress = now
+                    sys.stderr.write(
+                        f"progress{label}: nodes={nodes} depth={max_depth}/{ncells} "
+                        f"elapsed={now - started:.1f}s\n"
+                    )
+                    sys.stderr.flush()
+                check = min(stop, nodes + 256)
+            if ci >= max_depth:
+                max_depth = ci + 1
+            # j is cell ci's column on both paths above
+            cell_row[ci][j] = v
+            for src, slot in cell_pairs[ci]:
+                used2[slot] |= bit2[v - src[j]]
+            ci += 1
+            if ci == ncells:
+                return _FOUND, nodes, max_depth
 
 
 def column_candidates(
@@ -325,8 +295,9 @@ def column_candidates(
 
 
 def _restart_orders(k: int, size: int, base: int, rng_seed: int, restart: int):
-    """One shuffled value order per free cell, indexed like ``_Engine.cells``
-    (column-major) but drawn row by row."""
+    """One shuffled value order per free cell, indexed like the engine's
+    cells (column-major: cell (j - 1) * free + t for free row t, column j)
+    but drawn row by row."""
     rng = random.Random(f"{rng_seed}:{restart}")
     free = size - base
     orders: list[list[int]] = [[]] * ((k - 1) * free)
@@ -368,25 +339,21 @@ def search(config: SearchConfig) -> SearchOutcome:
     )
     # exhaustive: one pass in natural value order; first-found: ``restarts``
     # passes in seeded random value orders, splitting the budget evenly
-    if config.mode is SearchMode.EXHAUSTIVE:
-        passes, budget = 1, config.node_limit
-    else:
-        passes = config.restarts
-        budget = None if config.node_limit is None else config.node_limit // passes
+    first_found = config.mode is SearchMode.FIRST_FOUND
+    passes = config.restarts if first_found else 1
+    budget = config.node_limit
+    if first_found and budget is not None:
+        budget //= passes
 
     total_nodes = 0
     depth = 0
-    fixed_rows = fixed.table.tolist()
+    eng = _Engine(k, size, fixed.table.tolist())
     for idx in range(passes):
-        eng = _Engine(k, size, fixed_rows)
-        eng.node_budget = budget
-        eng.progress_interval = config.progress_interval
-        if config.mode is SearchMode.FIRST_FOUND:
-            eng.value_orders = _restart_orders(k, size, base, config.rng_seed, idx)
-            eng.progress_label = f" restart={idx}"
-        res = eng.run()
-        total_nodes += eng.nodes
-        depth = max(depth, eng.max_depth)
+        orders = _restart_orders(k, size, base, config.rng_seed, idx) if first_found else None
+        label = f" restart={idx}" if first_found else ""
+        res, nodes, max_depth = eng.run(orders, budget, config.progress_interval, label)
+        total_nodes += nodes
+        depth = max(depth, max_depth)
         if res == _FOUND:
             # run returns at the witness without undoing it: the grid holds it
             cert = CliqueCertificate(k, eng.rows)

@@ -111,6 +111,8 @@ class TestTableCap:
             ("search", "-k", "200003", "-s", "3", "--node-limit", "10"),
             # one difference mask per row pair: s^2 / 2 slots however small k is
             ("search", "-k", "2", "-s", "100000", "--node-limit", "10"),
+            # no free row, but the zero and identity rows are still 2 x k
+            ("search", "-k", "200000000", "-s", "2"),
         ],
     )
     def test_oversized_search_refused_fast(self, capsys, argv):
@@ -221,6 +223,11 @@ class TestSearch:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err == "error: restart count 1000000000 exceeds node limit 10\n"
+
+    def test_negative_progress_interval_refused(self, capsys):
+        code, out, err = run(capsys, "search", "-k", "9", "-s", "4", "--progress", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: progress interval must be at least 0 seconds, got -1.0\n"
 
     def test_workers_flag_is_checked_and_ignored(self, capsys):
         args = ("search", "-k", "9", "-s", "4", "--json")

@@ -1,4 +1,4 @@
-import random
+import re
 
 import pytest
 
@@ -18,7 +18,7 @@ from modclique import (
     verify,
     zero_function,
 )
-from modclique.search import _Engine, _restart_orders
+from modclique.search import _restart_orders
 
 from conftest import OMEGA
 
@@ -72,37 +72,6 @@ class TestColumnCandidates:
             column_candidates(3, rows, 0, 1)
         with pytest.raises(ValueError):
             column_candidates(3, rows, 2, 3)
-
-    @pytest.mark.parametrize("size", [3, 4])
-    @pytest.mark.parametrize("k", range(5, 12))
-    def test_matches_engine_masks(self, k, size):
-        # a seeded random walk of assign/unassign through the engine; at every
-        # cell reached, its incremental mask must equal the from-scratch set,
-        # narrowed at column 1 of rows t >= 3 to values above the row above
-        rng = random.Random(f"{k}:{size}")
-        eng = _Engine(k, size, [[0] * k, list(range(k))])
-        stack = []
-        checked = lex_checks = 0
-        for _ in range(400):
-            ci = len(stack)
-            if ci < eng.ncells:
-                t, j = eng.cells[ci]
-                allowed = eng.allowed_mask(ci)
-                expected = column_candidates(k, eng.rows, t, j)
-                if j == 1 and t >= 3:
-                    expected = {v for v in expected if v > eng.rows[t - 1][1]}
-                    lex_checks += 1
-                assert allowed == sum(1 << v for v in expected), (t, j)
-                checked += 1
-                if allowed and rng.random() < 0.75:
-                    v = rng.choice(sorted(expected))
-                    eng.assign(ci, v)
-                    stack.append((ci, v))
-                    continue
-            if stack:
-                eng.unassign(*stack.pop())
-        assert checked > 100
-        assert lex_checks > 0 or size == 3
 
 
 class _Limit(Exception):
@@ -455,6 +424,7 @@ class TestConfigValidation:
             dict(k=5, target_size=3, node_limit=0),
             dict(k=5, target_size=3, restarts=0),
             dict(k=5, target_size=3, mode=SearchMode.FIRST_FOUND, node_limit=4, restarts=5),
+            dict(k=5, target_size=3, progress_interval=float("nan")),
         ],
     )
     def test_rejected(self, kwargs):
@@ -470,6 +440,19 @@ class TestProgress:
         assert lines
         assert all(line.startswith("progress") for line in lines)
         assert "nodes=" in lines[0] and "depth=" in lines[0] and "elapsed=" in lines[0]
+
+    def test_first_found_lines_name_the_restart(self, capsys):
+        outcome = run(15, 4, mode=SearchMode.FIRST_FOUND, node_limit=2_000_000,
+                      restarts=40, progress_interval=0.0)
+        assert outcome.found and outcome.stats.restarts_used > 1
+        lines = capsys.readouterr().err.splitlines()
+        pattern = re.compile(r"progress restart=(\d+): nodes=(\d+) depth=(\d+)/28 elapsed=\S+s")
+        fields = [tuple(map(int, pattern.fullmatch(line).groups())) for line in lines]
+        restarts = [r for r, _, _ in fields]
+        assert restarts == sorted(restarts)
+        assert restarts[-1] == outcome.stats.restarts_used - 1
+        # the clock is read once per 256 nodes of a pass
+        assert all(nodes % 256 == 0 and 0 < depth <= 28 for _, nodes, depth in fields)
 
 
 class TestStats:

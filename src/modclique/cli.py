@@ -139,8 +139,6 @@ def _load_seed_rows(path: str, k: int):
 def _cmd_search(args) -> int:
     mode = SearchMode.FIRST_FOUND if args.first_found else SearchMode.EXHAUSTIVE
     seeds = None if args.seed is None else _load_seed_rows(args.seed, args.k)
-    if args.workers < 1:
-        raise ValueError("worker count must be at least 1")
     config = SearchConfig(
         k=args.k,
         target_size=args.size,
@@ -150,6 +148,7 @@ def _cmd_search(args) -> int:
         rng_seed=args.rand_seed,
         seed_rows=seeds,
         progress_interval=args.progress,
+        workers=args.workers,
     )
     outcome = search(config)
     stats = outcome.stats
@@ -324,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default=None, metavar="PATH",
                    help="certificate file whose non-trivial rows are fixed as rows 2..")
     p.add_argument("--workers", type=int, default=1, metavar="W",
-                   help="accepted for old command lines and ignored: search runs "
-                        "on one thread, as threads gave no speedup")
+                   help="fork up to W worker processes (clamped to the usable CPUs) "
+                        "once the search has spent 10000 nodes; every output "
+                        "matches W = 1")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the found witness here")
     p.add_argument("--progress", type=float, default=None, metavar="SECONDS",

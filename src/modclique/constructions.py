@@ -37,6 +37,11 @@ from .core import validate_modulus
 # every prime modulus up to 1021 and bounds k, hence every value, by 2^20,
 # far from int64 overflow in composition and verification.
 MAX_TABLE_CELLS = 1 << 20
+# Most values a first-found search may shuffle into value orders, one k-value
+# order per free cell per restart, whatever the node budget: about 2.5 s of
+# random draws on one core.  Every search the table cap admits may take 4
+# restarts.
+MAX_ORDER_DRAWS = 1 << 22
 
 
 # factorize trial-divides by the primes below _TRIAL_LIMIT; what is left

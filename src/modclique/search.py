@@ -20,9 +20,19 @@ seed rows were supplied, in which case only the seeded subtree was searched
 and the verdict says so.
 
 Each search builds one engine, whose per-cell tables serve every pass (one
-exhaustive pass, or one per first-found restart).  A pass is one call of
-``_Engine.run``, whose loop is the only code that opens a cell, assigns a
-value or undoes one.
+exhaustive pass, or one per first-found restart).  A pass is one or more
+calls of ``_Engine.run``, whose loop is the only code that opens a cell,
+assigns a value or undoes one.
+
+Both modes run as ordered tasks.  An exhaustive pass is one task per value
+of the root cell (row 2, or the first free row, at column 1): the subtrees
+under different root values are disjoint, so node counts add, depths take
+their maximum and the first task in root order that finds a witness finds
+the one-pass witness.  A first-found task is one restart.  Tasks run in this
+process in order; with more than one worker (``SearchConfig.workers``), once
+they have spent ``FORK_AFTER_NODES`` nodes the rest go to forked worker
+processes, and the results are merged in task order, so every output equals
+that of one worker.
 
 Found witnesses are re-verified through the certificate module and come out
 already in normalized form.
@@ -30,6 +40,8 @@ already in normalized form.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
 import sys
 import time
@@ -38,7 +50,7 @@ from enum import Enum
 from typing import Sequence
 
 from .certificate import CliqueCertificate, UncheckedCertificate, certify, is_normalized
-from .constructions import check_table_size
+from .constructions import MAX_ORDER_DRAWS, check_table_size
 from .core import validate_modulus
 
 
@@ -77,13 +89,18 @@ class SearchOutcome:
 class SearchConfig:
     """Parameters for one search run.
 
-    node_limit caps total assignments; in first-found mode it is split evenly
-    across ``restarts`` (at most node_limit) randomized passes seeded from
-    ``rng_seed``.  seed_rows (any integer rows of length k) are fixed as rows
+    node_limit caps the values tried (nodes).  In first-found mode it is
+    split evenly across ``restarts`` (at most node_limit) randomized passes
+    seeded from ``rng_seed``.  A pass stops at the node that would exceed
+    its share and counts that node, so a LIMIT verdict reports node_limit + 1
+    nodes when exhaustive, and restarts * (node_limit // restarts + 1) when
+    first-found.  seed_rows (any integer rows of length k) are fixed as rows
     2.. and must extend {zero, identity} to a verified, normalized prefix;
     with seeds present an exhausted tree yields the weaker "none under seed"
     verdict.  With progress_interval set (seconds, at least 0), progress
-    lines go to stderr at most that often.
+    lines go to stderr at most that often.  workers (at least 1, clamped to
+    the usable CPUs) is the number of forked worker processes a search that
+    outgrows ``FORK_AFTER_NODES`` nodes may use; it changes no output.
     """
 
     k: int
@@ -94,11 +111,21 @@ class SearchConfig:
     rng_seed: int = 0
     seed_rows: Sequence[Sequence[int]] | None = None
     progress_interval: float | None = None
+    workers: int = 1
+
+
+# Nodes a multi-worker search spends in-process before it forks.  Forking,
+# handing out tasks and reaping the workers takes about 4 ms, the time of
+# some 3,000-6,000 nodes, so a tree much smaller than this gains nothing:
+# the (8,3) and (10,3) trees (462 and 9,356 nodes) never fork.
+FORK_AFTER_NODES = 10_000
 
 
 def _fixed_rows(config: SearchConfig) -> CliqueCertificate:
     """Check the config and return the searched table's fixed rows -- zero,
     identity, then the seeds -- as one verified, normalized certificate."""
+    if config.workers < 1:
+        raise ValueError("worker count must be at least 1")
     k, size = config.k, config.target_size
     validate_modulus(k)
     if size < 2:
@@ -127,6 +154,14 @@ def _fixed_rows(config: SearchConfig) -> CliqueCertificate:
         # what the table cap would refuse
         check_table_size(free * k, k)
         check_table_size(size, size)
+    draws = config.restarts * free * (k - 1) * k
+    if config.mode is SearchMode.FIRST_FOUND and draws > MAX_ORDER_DRAWS:
+        # every restart shuffles a k-value order per free cell before its
+        # first node, whatever its budget
+        raise ValueError(
+            f"{config.restarts} restarts x {free * (k - 1)} free cells x {k} values "
+            f"is {draws} value-order draws, over the cap of {MAX_ORDER_DRAWS}"
+        )
     fixed = UncheckedCertificate(k, [[0] * k, range(k), *seeds])
     if not is_normalized(fixed):
         raise ValueError(
@@ -140,12 +175,31 @@ def _fixed_rows(config: SearchConfig) -> CliqueCertificate:
 _FOUND, _EXHAUSTED, _LIMIT = range(3)
 
 
+class _Progress:
+    """Progress lines to stderr, at most one per ``interval`` seconds, on a
+    clock started at construction."""
+
+    def __init__(self, interval: float, ncells: int, label: str = ""):
+        self.interval, self.ncells, self.label = interval, ncells, label
+        self.started = self.last = time.perf_counter()
+
+    def report(self, nodes: int, depth: int):
+        now = time.perf_counter()
+        if now - self.last >= self.interval:
+            self.last = now
+            sys.stderr.write(
+                f"progress{self.label}: nodes={nodes} depth={depth}/{self.ncells} "
+                f"elapsed={now - self.started:.1f}s\n"
+            )
+            sys.stderr.flush()
+
+
 class _Engine:
     """Backtracking state for one search: one mutable grid whose first rows
     are the fixed ones, and per-cell tables built once.  Every pass of the
-    search is one call of ``run``, the only code that opens a cell, assigns
-    a value and undoes one.  Column 0 is pre-assigned: every row vanishes
-    there, so every pair starts with difference 0 consumed.
+    search is one or more calls of ``run``, the only code that opens a cell,
+    assigns a value and undoes one.  Column 0 is pre-assigned: every row
+    vanishes there, so every pair starts with difference 0 consumed.
 
     A pair's used differences are kept doubled, as ``used | used << k``.
     Value v at a cell is blocked by the pair with earlier row src exactly
@@ -171,21 +225,30 @@ class _Engine:
         self.cell_col = [j for _, j in cells]
         self.cell_pairs = [row_pairs[t] for t, _ in cells]
         self.cell_lex = [self.rows[t - 1] if j == 1 and t >= 3 else None for t, j in cells]
+        # the root cell (row base, column 1) has one more pair, against row
+        # 0 (0 at column 1, so no shift) in the slot after the last row
+        # pair's: ``run`` puts there the root values its call leaves out
+        self.cell_pairs[0] = row_pairs[base] + [(self.rows[0], size * (size - 1) // 2)]
 
     def run(self, orders: list[list[int]] | None, budget: int | None,
-            progress_interval: float | None, label: str) -> tuple[int, int, int]:
-        """One pass: a depth-first search of the whole tree, from fresh
-        masks, in one loop over per-depth arrays, so depth is bounded by the
-        cell count, not the interpreter's recursion limit.  Value order and
-        node accounting match a plain recursive DFS over
-        ``column_candidates`` and the column-1 lex rule: one node per value
-        tried, counted before the budget check of at most ``budget`` nodes,
-        values ascending or, with ``orders`` (one value order per cell), in
-        the cell's order.  With ``progress_interval`` set, a progress line
-        tagged with ``label`` goes to stderr at most that often.  Returns
-        (verdict, nodes, max_depth) with the grid as it stands, so a
-        witness stays in ``rows``.  Free cells keep an earlier pass's values
-        until assigned, but no cell is read before this pass assigns it."""
+            progress: _Progress | None = None, roots: int = -1,
+            nodes: int = 0, max_depth: int = 0) -> tuple[int, int, int]:
+        """One pass, or the part of one under the root values in ``roots``
+        (a bitmask): a depth-first search from fresh masks, in one loop over
+        per-depth arrays, so depth is bounded by the cell count, not the
+        interpreter's recursion limit.  Value order and node accounting
+        match a plain recursive DFS over ``column_candidates`` and the
+        column-1 lex rule: one node per value tried, counted before the
+        budget check of at most ``budget`` nodes, values ascending or, with
+        ``orders`` (one value order per cell), in the cell's order.  Counting
+        goes on from ``nodes`` and ``max_depth``, the tallies of the root
+        values an earlier call of the same pass walked, and ``budget`` and
+        the progress lines (one per 256 nodes at most, to ``progress``)
+        count from the pass's start, so a pass split by root value prints
+        and stops exactly as the whole pass does.  Returns (verdict, nodes,
+        max_depth) with the grid as it stands, so a witness stays in
+        ``rows``.  Free cells keep an earlier call's values until assigned,
+        but no cell is read before this call assigns it."""
         k, size = self.k, len(self.rows)
         cell_row, cell_col, cell_pairs, cell_lex = (
             self.cell_row, self.cell_col, self.cell_pairs, self.cell_lex)
@@ -194,17 +257,15 @@ class _Engine:
         # bit2[d] marks difference d in both halves of a doubled mask; an
         # index d - k .. -1 wraps to d mod k
         bit2 = [(1 | 1 << k) << d for d in range(k)]
-        used2 = [bit2[0]] * (size * (size - 1) // 2)
+        skip = full & ~roots
+        used2 = [bit2[0]] * (size * (size - 1) // 2) + [skip | skip << k]
         # first-found cells pop from the end of their order, so reverse it
         if orders is not None:
             orders = [o[::-1] for o in orders]
-        # the budget is checked, and the clock read once per 256 nodes, only
-        # when the node count reaches ``check``
-        never = sys.maxsize
-        stop = never if budget is None else budget + 1
-        check = min(stop, never if progress_interval is None else 256)
-        started = last_progress = time.perf_counter()
-        nodes = max_depth = 0
+        # the budget is checked, and the clock read once per 256 nodes of
+        # the pass, only when the node count reaches ``check``
+        stop = sys.maxsize if budget is None else budget + 1
+        check = stop if progress is None else min(stop, (nodes | 255) + 1)
         # per depth, the open cell's untried values (a bitmask, or a list
         # first-found); its assigned value is read back from the grid
         untried = [0] * ncells
@@ -242,14 +303,7 @@ class _Engine:
             if nodes >= check:
                 if nodes >= stop:
                     return _LIMIT, nodes, max_depth
-                now = time.perf_counter()
-                if now - last_progress >= progress_interval:
-                    last_progress = now
-                    sys.stderr.write(
-                        f"progress{label}: nodes={nodes} depth={max_depth}/{ncells} "
-                        f"elapsed={now - started:.1f}s\n"
-                    )
-                    sys.stderr.flush()
+                progress.report(nodes, max_depth)
                 check = min(stop, nodes + 256)
             if ci >= max_depth:
                 max_depth = ci + 1
@@ -309,6 +363,232 @@ def _restart_orders(k: int, size: int, base: int, rng_seed: int, restart: int):
     return orders
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _least(budget: int | None, room: int) -> int:
+    return room if budget is None else min(budget, room)
+
+
+def _exhaustive(eng: _Engine, budget: int | None, interval: float | None, workers: int):
+    """The exhaustive pass as one task per root value, ascending.  Tasks run
+    here, each counting on from the ones before, so together they walk, print
+    and stop exactly as one pass.  With more than one worker, the task that
+    would take the count past FORK_AFTER_NODES is dropped, and it and every
+    later task go to forked workers; a worker's task that takes the merged
+    count past ``budget`` is run here again on the exact remainder, so LIMIT
+    reports the one-pass nodes and depth.  Returns (verdict, nodes,
+    max_depth, rows), rows holding the witness if one was found."""
+    progress = None if interval is None else _Progress(interval, len(eng.cell_col))
+    cap = budget if workers == 1 else _least(budget, FORK_AFTER_NODES)
+    nodes = depth = 0
+    for first in range(eng.k):
+        res, n, d = eng.run(None, cap, progress, 1 << first, nodes, depth)
+        if res == _LIMIT and cap != budget:
+            break
+        nodes, depth = n, d
+        if res != _EXHAUSTED:
+            return res, nodes, depth, eng.rows
+    else:
+        return _EXHAUSTED, nodes, depth, None
+    # the most any one later task may spend
+    room = None if budget is None else budget - nodes
+
+    def work(root):
+        res, n, d = eng.run(None, room, None, 1 << root)
+        return res, n, d, eng.rows if res == _FOUND else None
+
+    def merge(root, result):
+        nonlocal nodes, depth
+        res, n, d, rows = result
+        if budget is not None and nodes + n > budget:
+            res, n, d = eng.run(None, budget, progress, 1 << root, nodes, depth)
+            return res, n, d, eng.rows
+        nodes, depth = nodes + n, max(depth, d)
+        return None if res == _EXHAUSTED else (res, nodes, depth, rows)
+
+    done = _forked(range(first, eng.k), work, _EXHAUSTED, merge, workers, progress, nodes, depth)
+    return done or (_EXHAUSTED, nodes, depth, None)
+
+
+def _restarts(eng: _Engine, config: SearchConfig, base: int, workers: int):
+    """First-found: ``restarts`` passes in seeded random value orders, each
+    with an even share of the budget, as one task each.  Passes run here
+    while they spend under FORK_AFTER_NODES in all; with more than one
+    worker, the pass that would cross it is dropped, and it and every later
+    pass go to forked workers.  Returns (verdict, nodes, max_depth, rows,
+    restarts_used)."""
+    k, size, passes = eng.k, len(eng.rows), config.restarts
+    budget = None if config.node_limit is None else config.node_limit // passes
+    interval, ncells = config.progress_interval, len(eng.cell_col)
+
+    def orders(i):
+        return _restart_orders(k, size, base, config.rng_seed, i)
+
+    nodes = depth = 0
+    for first in range(passes):
+        cap = budget if workers == 1 else _least(budget, FORK_AFTER_NODES - nodes)
+        o = orders(first)
+        progress = None if interval is None else _Progress(interval, ncells, f" restart={first}")
+        res, n, d = eng.run(o, cap, progress)
+        if res == _LIMIT and cap != budget:
+            break
+        nodes, depth = nodes + n, max(depth, d)
+        if res != _LIMIT:
+            return res, nodes, depth, eng.rows, first + 1
+    else:
+        return _LIMIT, nodes, depth, None, passes
+    progress = None if interval is None else _Progress(interval, ncells, f" restart={first}")
+
+    def work(i):
+        res, n, d = eng.run(orders(i), budget)
+        return res, n, d, eng.rows if res == _FOUND else None
+
+    def merge(i, result):
+        nonlocal nodes, depth
+        res, n, d, rows = result
+        nodes, depth = nodes + n, max(depth, d)
+        if res != _LIMIT:
+            return res, nodes, depth, rows, i + 1
+        if progress is not None:
+            progress.label = f" restart={i + 1}"
+        return None
+
+    done = _forked(range(first, passes), work, _LIMIT, merge, workers, progress, nodes, depth)
+    return done or (_LIMIT, nodes, depth, None, passes)
+
+
+def _send(fd: int, obj):
+    data = marshal.dumps(obj)
+    data = len(data).to_bytes(4, "little") + data
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _read(fd: int, size: int) -> bytes | None:
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return data
+
+
+def _recv(fd: int):
+    """One message, or None if the pipe closed before a whole one came."""
+    head = _read(fd, 4)
+    body = None if head is None else _read(fd, int.from_bytes(head, "little"))
+    return None if body is None else marshal.loads(body)
+
+
+def _serve(task_r: int, result_w: int, work, inherited: list[int]):
+    """A forked worker's whole life: run ``work`` on each task read from
+    ``task_r`` and write the result to ``result_w``, until the parent closes
+    the task pipe.  It leaves only through ``os._exit``, never by returning
+    or raising into the code that forked it."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while (task := _recv(task_r)) is not None:
+            _send(result_w, work(task))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked(tasks: range, work, keep: int, merge, workers: int,
+            progress: _Progress | None, nodes: int, depth: int):
+    """Run ``work(task)`` for ``tasks`` on forked worker processes (at most
+    ``workers``, while this process only coordinates) and pass each result,
+    a (verdict, nodes, max_depth, rows) tuple, to ``merge(task, result)`` in
+    task order.  Returns the first value ``merge`` returns other than None,
+    or None once every task is merged; ``merge`` must return a value for a
+    result whose verdict is not ``keep``.
+
+    Tasks go out in order, one to each idle worker.  Once a result's verdict
+    is not ``keep`` no later task goes out, and once ``merge`` returns, the
+    workers still running are killed.  Every worker is reaped before this
+    returns or raises.  A worker that dies without sending a whole result
+    raises RuntimeError: a subtree nobody walked must never become a
+    verdict.  With ``progress``, the progress lines count ``nodes`` and
+    ``depth`` plus every finished task."""
+    import selectors
+    import signal
+
+    orders, results = {}, {}  # per worker pid: task pipe (write end), result pipe (read end)
+    running = {}  # worker pid -> index of the task it holds
+    try:
+        for _ in range(min(workers, len(tasks))):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(task_r, result_w, work, [*orders.values(), *results.values(), task_w, result_r])
+            os.close(task_r)
+            os.close(result_w)
+            orders[pid], results[pid] = task_w, result_r
+        with selectors.DefaultSelector() as ready:
+            for pid, fd in results.items():
+                ready.register(fd, selectors.EVENT_READ, pid)
+            idle = list(orders)
+            done = {}  # task index -> result, until merged
+            sent = merged = 0
+            end = len(tasks)  # tasks from index ``end`` on are not needed
+            while True:
+                while idle and sent < end:
+                    pid = idle.pop()
+                    running[pid] = sent
+                    try:
+                        _send(orders[pid], tasks[sent])
+                    except BrokenPipeError:
+                        raise RuntimeError(f"search worker {pid} exited early") from None
+                    sent += 1
+                if sent >= end:
+                    # nothing more to hand out: let idle workers exit now
+                    for pid in idle:
+                        os.close(orders.pop(pid))
+                        ready.unregister(results[pid])
+                    idle = []
+                while merged in done:
+                    out = merge(tasks[merged], done.pop(merged))
+                    merged += 1
+                    if out is not None:
+                        return out
+                if merged == len(tasks):
+                    return None
+                timeout = None if progress is None else max(progress.interval, 0.1)
+                for key, _ in ready.select(timeout):
+                    pid = key.data
+                    result = _recv(key.fd)
+                    if result is None:
+                        raise RuntimeError(f"search worker {pid} exited without a result")
+                    i = running.pop(pid)
+                    done[i] = result
+                    idle.append(pid)
+                    nodes, depth = nodes + result[1], max(depth, result[2])
+                    if result[0] != keep:
+                        end = min(end, i + 1)
+                if progress is not None:
+                    progress.report(nodes, depth)
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        # a worker whose task pipe closes reads its end and exits
+        for fd in [*orders.values(), *results.values()]:
+            os.close(fd)
+        for pid in results:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # already reaped: SIGCHLD is ignored
+                pass
+
+
 def search(config: SearchConfig) -> SearchOutcome:
     """Run the configured search and return a verdict with statistics.
 
@@ -334,30 +614,17 @@ def search(config: SearchConfig) -> SearchOutcome:
     if size > k:
         # rows differ pairwise at column 1, so a clique has at most k rows
         return finish(OutcomeKind.EXHAUSTED_NONE, None, 0, 0)
-    exhausted_kind = (
-        OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if base > 2 else OutcomeKind.EXHAUSTED_NONE
-    )
-    # exhaustive: one pass in natural value order; first-found: ``restarts``
-    # passes in seeded random value orders, splitting the budget evenly
-    first_found = config.mode is SearchMode.FIRST_FOUND
-    passes = config.restarts if first_found else 1
-    budget = config.node_limit
-    if first_found and budget is not None:
-        budget //= passes
-
-    total_nodes = 0
-    depth = 0
     eng = _Engine(k, size, fixed.table.tolist())
-    for idx in range(passes):
-        orders = _restart_orders(k, size, base, config.rng_seed, idx) if first_found else None
-        label = f" restart={idx}" if first_found else ""
-        res, nodes, max_depth = eng.run(orders, budget, config.progress_interval, label)
-        total_nodes += nodes
-        depth = max(depth, max_depth)
-        if res == _FOUND:
-            # run returns at the witness without undoing it: the grid holds it
-            cert = CliqueCertificate(k, eng.rows)
-            return finish(OutcomeKind.FOUND, cert, total_nodes, depth, idx + 1)
-        if res == _EXHAUSTED:
-            return finish(exhausted_kind, None, total_nodes, depth, idx + 1)
-    return finish(OutcomeKind.LIMIT_REACHED, None, total_nodes, depth, passes)
+    workers = min(config.workers, _usable_cpus()) if hasattr(os, "fork") else 1
+    if config.mode is SearchMode.FIRST_FOUND:
+        res, nodes, depth, rows, used = _restarts(eng, config, base, workers)
+    else:
+        res, nodes, depth, rows = _exhaustive(
+            eng, config.node_limit, config.progress_interval, workers)
+        used = 1
+    if res == _FOUND:
+        return finish(OutcomeKind.FOUND, CliqueCertificate(k, rows), nodes, depth, used)
+    if res == _EXHAUSTED:
+        kind = OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if base > 2 else OutcomeKind.EXHAUSTED_NONE
+        return finish(kind, None, nodes, depth, used)
+    return finish(OutcomeKind.LIMIT_REACHED, None, nodes, depth, used)

@@ -113,6 +113,9 @@ class TestTableCap:
             ("search", "-k", "2", "-s", "100000", "--node-limit", "10"),
             # no free row, but the zero and identity rows are still 2 x k
             ("search", "-k", "200000000", "-s", "2"),
+            # 20 value orders of 1020 cells x 1021 values, before any node
+            ("search", "-k", "1021", "-s", "3", "--first-found", "--node-limit", "20",
+             "--restarts", "20"),
         ],
     )
     def test_oversized_search_refused_fast(self, capsys, argv):

@@ -1,4 +1,7 @@
+import os
 import re
+import signal
+import sys
 
 import pytest
 
@@ -18,7 +21,7 @@ from modclique import (
     verify,
     zero_function,
 )
-from modclique.search import _restart_orders
+from modclique.search import FORK_AFTER_NODES, _fixed_rows, _restart_orders
 
 from conftest import OMEGA
 
@@ -425,11 +428,24 @@ class TestConfigValidation:
             dict(k=5, target_size=3, restarts=0),
             dict(k=5, target_size=3, mode=SearchMode.FIRST_FOUND, node_limit=4, restarts=5),
             dict(k=5, target_size=3, progress_interval=float("nan")),
+            dict(k=5, target_size=3, workers=0),
         ],
     )
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             search(SearchConfig(**kwargs))
+
+    def test_order_draws_capped(self):
+        # every restart shuffles a k-value order per free cell before its
+        # first node, whatever its budget
+        with pytest.raises(ValueError, match="over the cap"):
+            run(1021, 3, mode=SearchMode.FIRST_FOUND, node_limit=20, restarts=20)
+        # the README's reference budgets stay admitted
+        for k, node_limit, restarts in ((15, 2_000_000, 40), (21, 12_000_000, 40),
+                                        (27, 400_000_000, 400)):
+            config = SearchConfig(k=k, target_size=4, mode=SearchMode.FIRST_FOUND,
+                                  node_limit=node_limit, restarts=restarts)
+            _fixed_rows(config)
 
 
 class TestProgress:
@@ -462,3 +478,124 @@ class TestStats:
         assert stats.nodes > 0
         assert 0 < stats.max_depth <= 2 * 8
         assert stats.wall_time >= 0
+
+
+_search_module = sys.modules["modclique.search"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # fork two workers whatever this machine's CPU count, and fail a search
+    # that waits on its workers for over a minute instead of hanging
+    monkeypatch.setattr(_search_module, "_usable_cpus", lambda: 2)
+
+    def timed_out(signum, frame):
+        raise TimeoutError("search with two workers took over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestWorkers:
+    """Two forked workers give exactly the one-worker outcome: the root
+    tasks' subtrees are disjoint and their results merge in root order."""
+
+    def check(self, k, size, **kwargs):
+        got = []
+        for workers in (1, 2):
+            outcome = run(k, size, workers=workers, **kwargs)
+            cert = outcome.certificate
+            got.append((outcome.kind, outcome.stats.nodes, outcome.stats.max_depth,
+                        outcome.stats.restarts_used, None if cert is None else cert.table.tolist()))
+            _no_child_left()
+        assert got[0] == got[1]
+        return got[0]
+
+    @pytest.mark.parametrize("k,size", [(8, 3), (10, 3), (9, 4), (12, 3)])
+    def test_verdict_rungs(self, k, size):
+        assert self.check(k, size)[0] is OutcomeKind.EXHAUSTED_NONE
+
+    @pytest.mark.parametrize("k,size", [(11, 4), (13, 4), (15, 4)])
+    def test_exhaustive_witnesses(self, k, size):
+        assert self.check(k, size)[0] is OutcomeKind.FOUND
+
+    @pytest.mark.parametrize(
+        "size,seeds,kind",
+        [(5, K15[2:4], OutcomeKind.EXHAUSTED_NONE_UNDER_SEED), (4, K15[3:4], OutcomeKind.FOUND)],
+    )
+    def test_seeded(self, size, seeds, kind):
+        assert self.check(15, size, seed_rows=seeds)[0] is kind
+
+    # (12,3)'s root tasks walk 23,833-28,269 nodes each: these budgets run
+    # out in the first forked task, inside later ones, or just short of the
+    # whole tree (260,954 nodes); FORK_AFTER_NODES itself never forks
+    @pytest.mark.parametrize(
+        "node_limit",
+        [FORK_AFTER_NODES, FORK_AFTER_NODES + 1, 50_000, 100_000, 200_000, 260_953, 260_954],
+    )
+    def test_exhaustive_node_limit(self, node_limit):
+        kind, nodes, *_ = self.check(12, 3, node_limit=node_limit)
+        if node_limit < 260_954:
+            assert (kind, nodes) == (OutcomeKind.LIMIT_REACHED, node_limit + 1)
+        else:
+            assert kind is OutcomeKind.EXHAUSTED_NONE
+
+    @pytest.mark.parametrize("rng_seed", range(6))
+    def test_first_found(self, rng_seed):
+        kind = self.check(15, 4, mode=SearchMode.FIRST_FOUND, node_limit=2_000_000,
+                          restarts=40, rng_seed=rng_seed)[0]
+        assert kind is OutcomeKind.FOUND
+
+    def test_first_found_limit(self):
+        kind, nodes, _, used, _ = self.check(15, 4, mode=SearchMode.FIRST_FOUND,
+                                             node_limit=60_000, restarts=3)
+        assert (kind, nodes, used) == (OutcomeKind.LIMIT_REACHED, 60_003, 3)
+
+    def test_first_found_exhaustion(self):
+        kind, nodes, *_ = self.check(9, 4, mode=SearchMode.FIRST_FOUND, restarts=3)
+        assert (kind, nodes) == (OutcomeKind.EXHAUSTED_NONE, 84_703)
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        monkeypatch.setattr(_search_module, "_usable_cpus", lambda: 1)
+
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run(9, 4, workers=2).stats.nodes == 84_703
+
+    def test_dead_worker_raises(self, monkeypatch):
+        parent = os.getpid()
+        engine_run = _search_module._Engine.run
+
+        def run_then_die(self, orders, budget, *args):
+            if os.getpid() != parent:
+                # a worker walks part of its task, then dies without a result
+                engine_run(self, orders, 100, *args)
+                os._exit(3)
+            return engine_run(self, orders, budget, *args)
+
+        monkeypatch.setattr(_search_module._Engine, "run", run_then_die)
+        with pytest.raises(RuntimeError, match="without a result"):
+            run(9, 4, workers=2)
+        _no_child_left()
+
+    def test_coordinator_progress_lines(self, capsys):
+        outcome = run(9, 4, workers=2, progress_interval=0.0)
+        assert outcome.stats.nodes == 84_703
+        lines = capsys.readouterr().err.splitlines()
+        pattern = re.compile(r"progress: nodes=(\d+) depth=(\d+)/16 elapsed=\S+s")
+        assert all(pattern.fullmatch(line) for line in lines)
+        # the last line comes from the coordinator once every task is in
+        assert lines[-1].startswith("progress: nodes=84703 depth=13/16")

@@ -38,9 +38,10 @@ from .core import validate_modulus
 # far from int64 overflow in composition and verification.
 MAX_TABLE_CELLS = 1 << 20
 # Most values a first-found search may shuffle into value orders, one k-value
-# order per free cell per restart, whatever the node budget: about 2.5 s of
-# random draws on one core.  Every search the table cap admits may take 4
-# restarts.
+# order per free cell per restart, whatever the node budget: the largest
+# admitted run, `search -k 1021 -s 3 --first-found --node-limit 4 --restarts
+# 4` (4,165,680 draws), takes about 2.6 s on one core.  Every search the
+# table cap admits may take 4 restarts.
 MAX_ORDER_DRAWS = 1 << 22
 
 

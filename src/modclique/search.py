@@ -240,7 +240,10 @@ class _Engine:
         match a plain recursive DFS over ``column_candidates`` and the
         column-1 lex rule: one node per value tried, counted before the
         budget check of at most ``budget`` nodes, values ascending or, with
-        ``orders`` (one value order per cell), in the cell's order.  Counting
+        ``orders`` (one value order per cell), in the cell's order.  A cell's
+        untried values are a bitmask in both modes: the lowest bit is tried
+        next or, with ``orders``, the bit of least rank in the cell's order,
+        read from the order's inverse.  Counting
         goes on from ``nodes`` and ``max_depth``, the tallies of the root
         values an earlier call of the same pass walked, and ``budget`` and
         the progress lines (one per 256 nodes at most, to ``progress``)
@@ -259,15 +262,16 @@ class _Engine:
         bit2 = [(1 | 1 << k) << d for d in range(k)]
         skip = full & ~roots
         used2 = [bit2[0]] * (size * (size - 1) // 2) + [skip | skip << k]
-        # first-found cells pop from the end of their order, so reverse it
-        if orders is not None:
-            orders = [o[::-1] for o in orders]
+        # first-found: per cell, rank[v] is v's position in the cell's order,
+        # built when the cell first picks among two or more values.  Each
+        # costs O(k), so a short pass at large k builds only the few it uses.
+        ranks = None if orders is None else [None] * ncells
         # the budget is checked, and the clock read once per 256 nodes of
         # the pass, only when the node count reaches ``check``
         stop = sys.maxsize if budget is None else budget + 1
         check = stop if progress is None else min(stop, (nodes | 255) + 1)
-        # per depth, the open cell's untried values (a bitmask, or a list
-        # first-found); its assigned value is read back from the grid
+        # per depth, the open cell's untried values as a bitmask; its
+        # assigned value is read back from the grid
         untried = [0] * ncells
         ci = 0
         while True:
@@ -280,8 +284,6 @@ class _Engine:
             if lex is not None:
                 blocked |= (2 << lex[1]) - 1
             rest = ~blocked & full
-            if rest and orders is not None:
-                rest = untried[ci] = [w for w in orders[ci] if rest >> w & 1]
             # back up past cells with no untried value, undoing their values
             while not rest:
                 ci -= 1
@@ -292,13 +294,28 @@ class _Engine:
                 for src, slot in cell_pairs[ci]:
                     used2[slot] ^= bit2[v - src[j]]
                 rest = untried[ci]
-            # assign the next untried value
-            if orders is None:
+            # assign the next untried value: the lowest, or the only one
+            if ranks is None or not rest & (rest - 1):
                 low = rest & -rest
                 untried[ci] = rest ^ low
                 v = low.bit_length() - 1
             else:
-                v = rest.pop()
+                # first-found: the untried value of least rank
+                rank = ranks[ci]
+                if rank is None:
+                    rank = ranks[ci] = [0] * k
+                    for r, w in enumerate(orders[ci]):
+                        rank[w] = r
+                best = k
+                bits = rest
+                while bits:
+                    low = bits & -bits
+                    r = rank[low.bit_length() - 1]
+                    if r < best:
+                        best = r
+                    bits ^= low
+                v = orders[ci][best]
+                untried[ci] = rest ^ 1 << v
             nodes += 1
             if nodes >= check:
                 if nodes >= stop:

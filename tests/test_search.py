@@ -31,6 +31,11 @@ P5 = normalize(prime_construction(5)).table
 P7 = normalize(prime_construction(7)).table
 P11 = normalize(prime_construction(11)).table
 
+# (nodes, restarts_used) of `search -k 15 -s 4 --first-found --node-limit
+# 2000000 --restarts 40 --rand-seed R` for R = 0..5, as the benchmark's
+# ``witness`` entries in perfbench/pinned.json also pin them
+K15_FIRST_FOUND = [(259_024, 6), (383_442, 8), (189_797, 4), (67_673, 2), (148_472, 3), (41_763, 1)]
+
 
 def run(k, size, **kwargs):
     return search(SearchConfig(k=k, target_size=size, **kwargs))
@@ -175,6 +180,13 @@ class TestMatchesReferenceDFS:
             (15, 4, 6_000, 3, 2),
             (15, 4, 2_000_000, 40, 3),
             (9, 4, None, 3, 7),
+            # walks the whole (10,3) tree, the exhaustive 9,356 nodes
+            (10, 3, None, 2, 5),
+            # LIMIT at k >= 31, s = 3, whose first cells hold over 20 values
+            (31, 3, 600, 3, 0),
+            (32, 3, 6_000, 2, 4),
+            # a witness in the third restart
+            (17, 4, 60_000, 3, 0),
         ],
     )
     def test_first_found(self, k, size, node_limit, restarts, rng_seed):
@@ -553,9 +565,17 @@ class TestWorkers:
 
     @pytest.mark.parametrize("rng_seed", range(6))
     def test_first_found(self, rng_seed):
-        kind = self.check(15, 4, mode=SearchMode.FIRST_FOUND, node_limit=2_000_000,
-                          restarts=40, rng_seed=rng_seed)[0]
+        kind, nodes, _, used, _ = self.check(15, 4, mode=SearchMode.FIRST_FOUND,
+                                             node_limit=2_000_000, restarts=40, rng_seed=rng_seed)
         assert kind is OutcomeKind.FOUND
+        assert (nodes, used) == K15_FIRST_FOUND[rng_seed]
+
+    def test_first_found_k21(self):
+        # each pass's budget of 15,000 nodes crosses FORK_AFTER_NODES, so
+        # every restart runs in a worker; the fifth finds the witness
+        kind, nodes, _, used, _ = self.check(21, 4, mode=SearchMode.FIRST_FOUND,
+                                             node_limit=240_000, restarts=16, rng_seed=9)
+        assert (kind, nodes, used) == (OutcomeKind.FOUND, 63_195, 5)
 
     def test_first_found_limit(self):
         kind, nodes, _, used, _ = self.check(15, 4, mode=SearchMode.FIRST_FOUND,

@@ -10,10 +10,18 @@ arrive in two states:
 
 * ``UncheckedCertificate`` -- a shape-valid table of the right modulus, no
   claim about adjacency.  This is what ``parse`` returns.
-* ``CliqueCertificate`` -- constructing one runs the full pairwise check and
-  raises ``CertificateError`` on any violation, so holding an instance is
-  proof the rows really form a clique.  Downstream operations (composition,
-  the bound registry, normalization) only accept this type.
+* ``CliqueCertificate`` -- constructing one proves the rows pairwise
+  adjacent and raises ``CertificateError`` on any violation, so holding an
+  instance is proof the rows really form a clique.  Downstream operations
+  (composition, the bound registry, normalization) only accept this type.
+
+There are two proofs.  A table of m >= 3 rows f_i = f_0 + a_i*g, with g a
+bijection and every a_t - a_s a unit mod k (the prime rows j -> i*j mod k
+and their products), is a clique because each pair differs by the bijection
+(a_t - a_s)*g; that is checked exactly in O(m*k) time and O(m + k) extra
+memory.  Every other table, and every table that fails that check, goes
+through the general O(m^2 k) pairwise kernel, which alone reports
+violations.
 
 The file format is plain text: optional '#' comment lines, a "k m" header
 line, then m rows of k residues.  Canonical output uses single spaces, one
@@ -149,8 +157,9 @@ class UncheckedCertificate(_Certificate):
 
 
 class CliqueCertificate(_Certificate):
-    """A verified clique in G_k.  Construction performs the O(m^2 k) pairwise
-    check and refuses any certificate that is not actually a clique."""
+    """A verified clique in G_k.  Construction proves every row pair adjacent
+    (in O(m k) for scalar-multiple tables, else by the O(m^2 k) pairwise
+    check) and refuses any certificate that is not actually a clique."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -178,10 +187,36 @@ def _collision_witness(diff_values: Sequence[int], k: int) -> tuple[int, int, in
     raise AssertionError("no collision in a non-bijective difference")
 
 
-def _verification_report(k: int, table: np.ndarray) -> VerificationReport:
+def _is_scalar_clique(k: int, table: np.ndarray) -> bool:
+    """True iff table has m >= 3 rows f_i = f_0 + a_i*g (mod k), g a bijection
+    and every a_t - a_s (s < t) a unit mod k: then each pair differs by the
+    bijection (a_t - a_s)*g, so the rows form a clique.  False means only
+    "not proved here".  Allocates O(m + k) beyond the table."""
+    m = len(table)
+    if m < 3:
+        return False
+    f0 = table[0]
+    g = (table[1] - f0) % k
+    hit = np.zeros(k, dtype=bool)
+    hit[g] = True
+    if not hit.all():
+        return False
+    x = int(np.argmax(g == 1))  # g^-1(1)
+    a = (table[:, x] - f0[x]) % k
+    for i in range(2, m):
+        if ((table[i] - f0 - a[i] * g) % k).any():
+            return False
+    hit[:] = False
+    for t in range(1, m):
+        hit[(a[t] - a[:t]) % k] = True
+    return not (hit & (np.gcd(np.arange(k), k) != 1)).any()
+
+
+def _pair_violations(k: int, table: np.ndarray) -> tuple[PairViolation, ...]:
+    """Every non-adjacent row pair (s, t), s < t, with one collision witness."""
     m = len(table)
     if m < 2:
-        return VerificationReport(k, m, ())
+        return ()
     table = table.astype(np.int32 if 2 * k * m < 2**31 else np.int64, copy=False)
     # Row t minus row s has entries in (-k, k); shifting row s's block by
     # 2k*s + k drops every difference into the half-open band
@@ -200,7 +235,12 @@ def _verification_report(k: int, table: np.ndarray) -> VerificationReport:
         for s in np.nonzero(~good)[0]:
             a, b, d = _collision_witness(((table[t] - table[s]) % k).tolist(), k)
             violations.append(PairViolation(int(s), t, a, b, d))
-    return VerificationReport(k, m, tuple(violations))
+    return tuple(violations)
+
+
+def _verification_report(k: int, table: np.ndarray) -> VerificationReport:
+    violations = () if _is_scalar_clique(k, table) else _pair_violations(k, table)
+    return VerificationReport(k, len(table), violations)
 
 
 def verify(cert: CertificateLike) -> VerificationReport:
@@ -263,8 +303,9 @@ def serialize(cert: CertificateLike) -> str:
     """Canonical text form: "k m" header, one row per line, single spaces,
     trailing newline."""
     lines = [f"{cert.k} {cert.row_count}"]
+    names = [str(v) for v in range(cert.k)]
     # row by row: a whole-table tolist() would hold m*k Python ints at once
-    lines.extend(" ".join(map(str, r.tolist())) for r in cert.table)
+    lines.extend(" ".join([names[v] for v in r.tolist()]) for r in cert.table)
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,6 @@ names documented in the README.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -68,7 +67,7 @@ def _cmd_verify(args) -> int:
             "k": report.k,
             "rows": report.row_count,
             "ok": report.ok,
-            "violations": [dataclasses.asdict(v) for v in report.violations],
+            "violations": [vars(v) for v in report.violations],
         }
         print(json.dumps(payload))
     else:

@@ -33,9 +33,11 @@ from .certificate import (
 from .core import validate_modulus
 
 # Largest table (rows x modulus) a construction will build: 8 MiB of int64
-# cells, whose O(m^2 k) verification still takes only seconds.  It admits
-# every prime modulus up to 1021 and bounds k, hence every value, by 2^20,
-# far from int64 overflow in composition and verification.
+# cells.  A scalar-multiple table of that size verifies in O(m k), about
+# 0.03 s; any other table takes the O(m^2 k) pairwise check, still only
+# seconds at this size.  It admits every prime modulus up to 1021 and bounds
+# k, hence every value, by 2^20, far from int64 overflow in composition and
+# verification.
 MAX_TABLE_CELLS = 1 << 20
 # Most values a first-found search may shuffle into value orders, one k-value
 # order per free cell per restart, whatever the node budget: the largest

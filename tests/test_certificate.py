@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,10 +17,18 @@ from modclique import (
     is_normalized,
     normalize,
     parse,
+    prime_construction,
     serialize,
     verify,
     zero_function,
 )
+from modclique.certificate import (
+    VerificationReport,
+    _is_scalar_clique,
+    _pair_violations,
+    _verification_report,
+)
+from modclique.constructions import smallest_prime_factor
 
 from conftest import (
     CERTS_DIR,
@@ -94,6 +103,95 @@ class TestVerify:
                         k, tuple(ModFunction(k, tuple(r)) for r in rows)
                     )
                     assert not verify(mutated).ok
+
+
+SCALAR_MODULI = (*range(2, 17), 21, 25, 27, 49)
+
+
+def scalar_cases(seed=15, per_modulus=200):
+    """Seeded tables f_i = b + a_i*g (mod k) with flags (corrupted, bijective g,
+    repeated coefficient).  About half draw coefficients b' + c*i for distinct
+    i < spf(k) and a unit c, whose differences are all units; the rest draw
+    them at random, so repeats and non-unit differences occur.  A quarter
+    take a random, usually non-bijective g, and 30% get one corrupted cell."""
+    rng = np.random.default_rng(seed)
+    for k in SCALAR_MODULI:
+        p = smallest_prime_factor(k)
+        units = [u for u in range(1, k) if np.gcd(u, k) == 1]
+        for _ in range(per_modulus):
+            if p >= 3 and rng.random() < 0.5:
+                m = int(rng.integers(3, min(p, 7) + 1))
+                idx = rng.choice(p, size=m, replace=False)
+                a = (int(rng.integers(k)) + int(rng.choice(units)) * idx) % k
+            else:
+                m = int(rng.integers(3, 8))
+                a = rng.integers(0, k, m)
+            g = rng.permutation(k) if rng.random() < 0.75 else rng.integers(0, k, k)
+            table = (rng.integers(0, k, k) + a[:, None] * g) % k
+            corrupted = rng.random() < 0.3
+            if corrupted:
+                i, j = rng.integers(m), rng.integers(k)
+                table[i, j] = (table[i, j] + rng.integers(1, k)) % k
+            bijective = len(set(g.tolist())) == k
+            yield k, table, corrupted, bijective, len(set(a.tolist())) < m
+
+
+class TestScalarProof:
+    """The O(m k) proof for tables f_i = f_0 + a_i*g must agree exactly with
+    the general pairwise kernel, which alone reports violations."""
+
+    def test_agrees_with_pairwise_kernel(self):
+        seen = Counter()
+        for k, table, corrupted, bijective, repeated in scalar_cases():
+            proved = _is_scalar_clique(k, table)
+            violations = _pair_violations(k, table)
+            assert _verification_report(k, table) == VerificationReport(
+                k, len(table), violations
+            )
+            if proved:
+                assert violations == (), (k, table.tolist())
+            elif not corrupted and not violations:
+                pytest.fail(f"scalar-form clique not proved: k={k} {table.tolist()}")
+            seen["proved" if proved else "corrupted" if corrupted else
+                 "non-bijective g" if not bijective else
+                 "repeated" if repeated else "non-unit"] += 1
+        # every way in and out of the proof is exercised
+        assert seen["proved"] > 500, seen
+        for way in ("corrupted", "non-bijective g", "repeated", "non-unit"):
+            assert seen[way] > 20, seen
+
+    def test_prime_construction_is_proved_by_scalar_path(self):
+        for k in (3, 5, 7, 9, 25, 31, 15 * 7):
+            assert _is_scalar_clique(k, prime_construction(k).table)
+        # two rows are left to the pairwise kernel
+        assert not _is_scalar_clique(5, prime_construction(5).table[:2])
+
+    def test_non_scalar_clique_is_proved_by_pairwise_kernel(self):
+        k = 101
+        shifts = np.random.default_rng(7).integers(0, k, (k, 1))
+        table = (prime_construction(k).table + shifts) % k
+        assert not _is_scalar_clique(k, table)
+        assert _pair_violations(k, table) == ()
+        assert verify(UncheckedCertificate(k, table)).ok
+        assert CliqueCertificate(k, table).row_count == k
+
+    def test_corrupted_prime_table_reports_as_pairwise_kernel(self):
+        k = 31
+        table = prime_construction(k).table.copy()
+        table[5, 7] = (table[5, 7] + 1) % k
+        report = verify(UncheckedCertificate(k, table))
+        assert report == VerificationReport(k, k, _pair_violations(k, table))
+        assert {(v.row_s, v.row_t) for v in report.violations} == {
+            tuple(sorted((5, r))) for r in range(k) if r != 5
+        }
+        with pytest.raises(CertificateError, match="rows 0 and 5 are not adjacent"):
+            CliqueCertificate(k, table)
+
+    def test_largest_prime_construction_is_fast(self):
+        start = time.perf_counter()
+        cert = prime_construction(1021)
+        assert time.perf_counter() - start < 1.0
+        assert cert.row_count == 1021
 
 
 class TestTypedStates:

@@ -60,9 +60,10 @@ class TestVerify:
         path.write_text("4 3\n0 0 0 0\n0 1 2 3\n0 2 0 2\n")
         code, out, _ = run(capsys, "verify", str(path), "--json")
         assert code == 1
-        payload = json.loads(out)
-        assert payload["ok"] is False
-        assert payload["violations"][0]["row_t"] == 2
+        assert out == (
+            '{"k": 4, "rows": 3, "ok": false, "violations": [{"row_s": 0, '
+            '"row_t": 2, "point_a": 0, "point_b": 2, "value": 0}]}\n'
+        )
 
 
 class TestGen:

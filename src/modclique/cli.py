@@ -36,7 +36,7 @@ from .constructions import (
     provenance_label,
     provenance_lines,
 )
-from .search import OutcomeKind, SearchConfig, SearchMode, search
+from .search import FORK_AFTER_NODES, OutcomeKind, SearchConfig, SearchMode, search
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certificate file whose non-trivial rows are fixed as rows 2..")
     p.add_argument("--workers", type=int, default=1, metavar="W",
                    help="fork up to W worker processes (clamped to the usable CPUs) "
-                        "once the search has spent 10000 nodes; every output "
+                        f"once the search has spent {FORK_AFTER_NODES} nodes; every output "
                         "matches W = 1")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the found witness here")

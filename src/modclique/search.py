@@ -20,18 +20,18 @@ seed rows were supplied, in which case only the seeded subtree was searched
 and the verdict says so.
 
 Each search builds one engine, whose per-cell tables serve every pass (one
-exhaustive pass, or one per first-found restart).  A pass is one or more
-calls of ``_Engine.run``, whose loop is the only code that opens a cell,
-assigns a value or undoes one.
+exhaustive pass, or one per first-found restart).  ``_Engine.run`` is the
+only code that opens a cell, assigns a value or undoes one.
 
-Both modes run as ordered tasks.  An exhaustive pass is one task per value
-of the root cell (row 2, or the first free row, at column 1): the subtrees
-under different root values are disjoint, so node counts add, depths take
-their maximum and the first task in root order that finds a witness finds
-the one-pass witness.  A first-found task is one restart.  Tasks run in this
-process in order; with more than one worker (``SearchConfig.workers``), once
-they have spent ``FORK_AFTER_NODES`` nodes the rest go to forked worker
-processes, and the results are merged in task order, so every output equals
+Passes run in this process, in order.  With more than one worker
+(``SearchConfig.workers``), the in-process passes may spend only
+``FORK_AFTER_NODES`` nodes in all; a search that needs more drops that work
+and runs again from the start as ordered tasks on forked worker processes.
+An exhaustive task is one value of the root cell (row 2, or the first free
+row, at column 1): the subtrees under different root values are disjoint,
+so node counts add, depths take their maximum and the first task in root
+order that finds a witness finds the one-pass witness.  A first-found task
+is one restart.  Results are merged in task order, so every output equals
 that of one worker.
 
 Found witnesses are re-verified through the certificate module and come out
@@ -40,7 +40,6 @@ already in normalized form.
 
 from __future__ import annotations
 
-import marshal
 import os
 import random
 import sys
@@ -114,10 +113,11 @@ class SearchConfig:
     workers: int = 1
 
 
-# Nodes a multi-worker search spends in-process before it forks.  Forking,
-# handing out tasks and reaping the workers takes about 4 ms, the time of
-# some 3,000-6,000 nodes, so a tree much smaller than this gains nothing:
-# the (8,3) and (10,3) trees (462 and 9,356 nodes) never fork.
+# Nodes a multi-worker search may spend in-process; one that needs more
+# discards them and forks.  Forking, sending tasks to the workers and
+# reaping them takes about 4 ms, the time of some 3,000-6,000 nodes, so a
+# tree much smaller than this gains nothing: the (8,3) and (10,3) trees (462
+# and 9,356 nodes) never fork.
 FORK_AFTER_NODES = 10_000
 
 
@@ -231,8 +231,7 @@ class _Engine:
         self.cell_pairs[0] = row_pairs[base] + [(self.rows[0], size * (size - 1) // 2)]
 
     def run(self, orders: list[list[int]] | None, budget: int | None,
-            progress: _Progress | None = None, roots: int = -1,
-            nodes: int = 0, max_depth: int = 0) -> tuple[int, int, int]:
+            progress: _Progress | None = None, roots: int = -1) -> tuple[int, int, int]:
         """One pass, or the part of one under the root values in ``roots``
         (a bitmask): a depth-first search from fresh masks, in one loop over
         per-depth arrays, so depth is bounded by the cell count, not the
@@ -243,15 +242,11 @@ class _Engine:
         ``orders`` (one value order per cell), in the cell's order.  A cell's
         untried values are a bitmask in both modes: the lowest bit is tried
         next or, with ``orders``, the bit of least rank in the cell's order,
-        read from the order's inverse.  Counting
-        goes on from ``nodes`` and ``max_depth``, the tallies of the root
-        values an earlier call of the same pass walked, and ``budget`` and
-        the progress lines (one per 256 nodes at most, to ``progress``)
-        count from the pass's start, so a pass split by root value prints
-        and stops exactly as the whole pass does.  Returns (verdict, nodes,
-        max_depth) with the grid as it stands, so a witness stays in
-        ``rows``.  Free cells keep an earlier call's values until assigned,
-        but no cell is read before this call assigns it."""
+        read from the order's inverse.  Progress lines go to ``progress``,
+        one per 256 nodes at most.  Returns (verdict, nodes, max_depth) with
+        the grid as it stands, so a witness stays in ``rows``.  Free cells
+        keep an earlier call's values until assigned, but no cell is read
+        before this call assigns it."""
         k, size = self.k, len(self.rows)
         cell_row, cell_col, cell_pairs, cell_lex = (
             self.cell_row, self.cell_col, self.cell_pairs, self.cell_lex)
@@ -269,7 +264,8 @@ class _Engine:
         # the budget is checked, and the clock read once per 256 nodes of
         # the pass, only when the node count reaches ``check``
         stop = sys.maxsize if budget is None else budget + 1
-        check = stop if progress is None else min(stop, (nodes | 255) + 1)
+        check = stop if progress is None else min(stop, 256)
+        nodes = max_depth = 0
         # per depth, the open cell's untried values as a bitmask; its
         # assigned value is read back from the grid
         untried = [0] * ncells
@@ -387,219 +383,156 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _least(budget: int | None, room: int) -> int:
-    return room if budget is None else min(budget, room)
-
-
-def _exhaustive(eng: _Engine, budget: int | None, interval: float | None, workers: int):
-    """The exhaustive pass as one task per root value, ascending.  Tasks run
-    here, each counting on from the ones before, so together they walk, print
-    and stop exactly as one pass.  With more than one worker, the task that
-    would take the count past FORK_AFTER_NODES is dropped, and it and every
-    later task go to forked workers; a worker's task that takes the merged
-    count past ``budget`` is run here again on the exact remainder, so LIMIT
-    reports the one-pass nodes and depth.  Returns (verdict, nodes,
-    max_depth, rows), rows holding the witness if one was found."""
-    progress = None if interval is None else _Progress(interval, len(eng.cell_col))
-    cap = budget if workers == 1 else _least(budget, FORK_AFTER_NODES)
-    nodes = depth = 0
-    for first in range(eng.k):
-        res, n, d = eng.run(None, cap, progress, 1 << first, nodes, depth)
-        if res == _LIMIT and cap != budget:
-            break
-        nodes, depth = n, d
-        if res != _EXHAUSTED:
-            return res, nodes, depth, eng.rows
-    else:
-        return _EXHAUSTED, nodes, depth, None
-    # the most any one later task may spend
-    room = None if budget is None else budget - nodes
-
-    def work(root):
-        res, n, d = eng.run(None, room, None, 1 << root)
-        return res, n, d, eng.rows if res == _FOUND else None
-
-    def merge(root, result):
-        nonlocal nodes, depth
-        res, n, d, rows = result
-        if budget is not None and nodes + n > budget:
-            res, n, d = eng.run(None, budget, progress, 1 << root, nodes, depth)
-            return res, n, d, eng.rows
-        nodes, depth = nodes + n, max(depth, d)
-        return None if res == _EXHAUSTED else (res, nodes, depth, rows)
-
-    done = _forked(range(first, eng.k), work, _EXHAUSTED, merge, workers, progress, nodes, depth)
-    return done or (_EXHAUSTED, nodes, depth, None)
-
-
-def _restarts(eng: _Engine, config: SearchConfig, base: int, workers: int):
-    """First-found: ``restarts`` passes in seeded random value orders, each
-    with an even share of the budget, as one task each.  Passes run here
-    while they spend under FORK_AFTER_NODES in all; with more than one
-    worker, the pass that would cross it is dropped, and it and every later
-    pass go to forked workers.  Returns (verdict, nodes, max_depth, rows,
-    restarts_used)."""
-    k, size, passes = eng.k, len(eng.rows), config.restarts
-    budget = None if config.node_limit is None else config.node_limit // passes
+def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
+    """Run the search's passes in turn: one when exhaustive, ``restarts``
+    when first-found (each in its seeded random value orders), each with an
+    even share of the budget.  With more than one worker the passes here may
+    spend only FORK_AFTER_NODES nodes in all; a pass that would cross it
+    drops every node spent here, and the whole search runs again on forked
+    workers as ordered tasks, one per root value when exhaustive and one per
+    restart when first-found.  A worker's exhaustive task that takes the
+    merged count past the budget is walked here again on the exact
+    remainder, so LIMIT reports the one-pass nodes and depth.  Returns
+    (verdict, nodes, max_depth, rows, restarts_used), rows holding the
+    witness if one was found."""
+    k, size, limit = eng.k, len(eng.rows), config.node_limit
+    first_found = config.mode is SearchMode.FIRST_FOUND
+    passes = config.restarts if first_found else 1
+    share = None if limit is None else limit // passes
+    # a pass's verdict that lets the next pass or task run
+    keep = _LIMIT if first_found else _EXHAUSTED
     interval, ncells = config.progress_interval, len(eng.cell_col)
 
     def orders(i):
-        return _restart_orders(k, size, base, config.rng_seed, i)
+        return _restart_orders(k, size, base, config.rng_seed, i) if first_found else None
+
+    def label(i):
+        return f" restart={i}" if first_found else ""
 
     nodes = depth = 0
-    for first in range(passes):
-        cap = budget if workers == 1 else _least(budget, FORK_AFTER_NODES - nodes)
-        o = orders(first)
-        progress = None if interval is None else _Progress(interval, ncells, f" restart={first}")
-        res, n, d = eng.run(o, cap, progress)
-        if res == _LIMIT and cap != budget:
+    for i in range(passes):
+        room = FORK_AFTER_NODES - nodes
+        cap = share if workers == 1 or share is not None and share <= room else room
+        progress = None if interval is None else _Progress(interval, ncells, label(i))
+        res, n, d = eng.run(orders(i), cap, progress)
+        if res == _LIMIT and cap != share:
             break
         nodes, depth = nodes + n, max(depth, d)
-        if res != _LIMIT:
-            return res, nodes, depth, eng.rows, first + 1
+        if res != keep:
+            return res, nodes, depth, eng.rows, i + 1
     else:
-        return _LIMIT, nodes, depth, None, passes
-    progress = None if interval is None else _Progress(interval, ncells, f" restart={first}")
+        return keep, nodes, depth, None, passes
+    if progress is not None:
+        progress.label = label(0)
 
     def work(i):
-        res, n, d = eng.run(orders(i), budget)
+        res, n, d = eng.run(orders(i), share, None, -1 if first_found else 1 << i)
         return res, n, d, eng.rows if res == _FOUND else None
 
     def merge(i, result):
         nonlocal nodes, depth
         res, n, d, rows = result
+        if not first_found and limit is not None and nodes + n > limit:
+            # this root's subtree crosses the budget: walk it again on the rest
+            res, n, d = eng.run(None, limit - nodes, None, 1 << i)
         nodes, depth = nodes + n, max(depth, d)
-        if res != _LIMIT:
-            return res, nodes, depth, rows, i + 1
+        if res != keep:
+            return res, nodes, depth, rows, i + 1 if first_found else 1
         if progress is not None:
-            progress.label = f" restart={i + 1}"
+            progress.label = label(i + 1)
         return None
 
-    done = _forked(range(first, passes), work, _LIMIT, merge, workers, progress, nodes, depth)
-    return done or (_LIMIT, nodes, depth, None, passes)
+    # the work done here is dropped: the tasks cover the whole search
+    nodes = depth = 0
+    done = _forked(passes if first_found else k, work, keep, merge, workers, progress)
+    return done or (keep, nodes, depth, None, passes)
 
 
-def _send(fd: int, obj):
-    data = marshal.dumps(obj)
-    data = len(data).to_bytes(4, "little") + data
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _read(fd: int, size: int) -> bytes | None:
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
-
-
-def _recv(fd: int):
-    """One message, or None if the pipe closed before a whole one came."""
-    head = _read(fd, 4)
-    body = None if head is None else _read(fd, int.from_bytes(head, "little"))
-    return None if body is None else marshal.loads(body)
-
-
-def _serve(task_r: int, result_w: int, work, inherited: list[int]):
-    """A forked worker's whole life: run ``work`` on each task read from
-    ``task_r`` and write the result to ``result_w``, until the parent closes
-    the task pipe.  It leaves only through ``os._exit``, never by returning
-    or raising into the code that forked it."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        while (task := _recv(task_r)) is not None:
-            _send(result_w, work(task))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _forked(tasks: range, work, keep: int, merge, workers: int,
-            progress: _Progress | None, nodes: int, depth: int):
-    """Run ``work(task)`` for ``tasks`` on forked worker processes (at most
-    ``workers``, while this process only coordinates) and pass each result,
-    a (verdict, nodes, max_depth, rows) tuple, to ``merge(task, result)`` in
-    task order.  Returns the first value ``merge`` returns other than None,
+def _forked(count: int, work, keep: int, merge, workers: int, progress: _Progress | None):
+    """Run ``work(i)`` for tasks i = 0 .. count - 1 on forked worker
+    processes (at most ``workers``, while this process only coordinates) and
+    pass each result, a (verdict, nodes, max_depth, rows) tuple, to
+    ``merge(i, result)`` in task order.  Returns the first value ``merge`` returns other than None,
     or None once every task is merged; ``merge`` must return a value for a
     result whose verdict is not ``keep``.
 
-    Tasks go out in order, one to each idle worker.  Once a result's verdict
-    is not ``keep`` no later task goes out, and once ``merge`` returns, the
-    workers still running are killed.  Every worker is reaped before this
-    returns or raises.  A worker that dies without sending a whole result
-    raises RuntimeError: a subtree nobody walked must never become a
-    verdict.  With ``progress``, the progress lines count ``nodes`` and
-    ``depth`` plus every finished task."""
-    import selectors
+    Each worker holds one end of a duplex pipe.  Tasks go out in order, one
+    to each idle worker.  Once a result's verdict is not ``keep`` no later
+    task goes out, and once ``merge`` returns, the workers still running are
+    killed.  Every worker is reaped before this returns or raises.  A worker
+    that dies without sending a whole result raises RuntimeError: a subtree
+    nobody walked must never become a verdict.  With ``progress``, the
+    progress lines count every finished task."""
     import signal
+    from multiprocessing.connection import Pipe, wait
 
-    orders, results = {}, {}  # per worker pid: task pipe (write end), result pipe (read end)
-    running = {}  # worker pid -> index of the task it holds
+    pids = {}  # per worker: this process's end of its pipe -> its pid
+    running = {}  # per busy worker: its pipe end -> index of the task it holds
     try:
-        for _ in range(min(workers, len(tasks))):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
+        for _ in range(min(workers, count)):
+            conn, child = Pipe()
             pid = os.fork()
             if pid == 0:
-                _serve(task_r, result_w, work, [*orders.values(), *results.values(), task_w, result_r])
-            os.close(task_r)
-            os.close(result_w)
-            orders[pid], results[pid] = task_w, result_r
-        with selectors.DefaultSelector() as ready:
-            for pid, fd in results.items():
-                ready.register(fd, selectors.EVENT_READ, pid)
-            idle = list(orders)
-            done = {}  # task index -> result, until merged
-            sent = merged = 0
-            end = len(tasks)  # tasks from index ``end`` on are not needed
-            while True:
-                while idle and sent < end:
-                    pid = idle.pop()
-                    running[pid] = sent
-                    try:
-                        _send(orders[pid], tasks[sent])
-                    except BrokenPipeError:
-                        raise RuntimeError(f"search worker {pid} exited early") from None
-                    sent += 1
-                if sent >= end:
-                    # nothing more to hand out: let idle workers exit now
-                    for pid in idle:
-                        os.close(orders.pop(pid))
-                        ready.unregister(results[pid])
-                    idle = []
-                while merged in done:
-                    out = merge(tasks[merged], done.pop(merged))
-                    merged += 1
-                    if out is not None:
-                        return out
-                if merged == len(tasks):
-                    return None
-                timeout = None if progress is None else max(progress.interval, 0.1)
-                for key, _ in ready.select(timeout):
-                    pid = key.data
-                    result = _recv(key.fd)
-                    if result is None:
-                        raise RuntimeError(f"search worker {pid} exited without a result")
-                    i = running.pop(pid)
-                    done[i] = result
-                    idle.append(pid)
-                    nodes, depth = nodes + result[1], max(depth, result[2])
-                    if result[0] != keep:
-                        end = min(end, i + 1)
-                if progress is not None:
-                    progress.report(nodes, depth)
+                code = 1
+                try:
+                    for other in [*pids, conn]:
+                        other.close()
+                    while True:
+                        try:
+                            task = child.recv()
+                        except EOFError:  # the parent closed its end
+                            break
+                        child.send(work(task))
+                    code = 0
+                finally:
+                    os._exit(code)
+            child.close()
+            pids[conn] = pid
+        idle = list(pids)
+        done = {}  # task index -> result, until merged
+        sent = merged = nodes = depth = 0
+        end = count  # tasks from ``end`` on are not needed
+        while True:
+            while idle and sent < end:
+                conn = idle.pop()
+                running[conn] = sent
+                try:
+                    conn.send(sent)
+                except OSError:
+                    raise RuntimeError(f"search worker {pids[conn]} exited early") from None
+                sent += 1
+            if sent >= end:
+                # nothing more to hand out: let idle workers exit now
+                for conn in idle:
+                    conn.close()
+                idle = []
+            while merged in done:
+                out = merge(merged, done.pop(merged))
+                merged += 1
+                if out is not None:
+                    return out
+            if merged == count:
+                return None
+            timeout = None if progress is None else max(progress.interval, 0.1)
+            for conn in wait(list(running), timeout):
+                try:
+                    result = conn.recv()
+                except (EOFError, OSError):  # OSError: a result cut short
+                    raise RuntimeError(f"search worker {pids[conn]} exited without a result") from None
+                i = running.pop(conn)
+                done[i] = result
+                idle.append(conn)
+                nodes, depth = nodes + result[1], max(depth, result[2])
+                if result[0] != keep:
+                    end = min(end, i + 1)
+            if progress is not None:
+                progress.report(nodes, depth)
     finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-        # a worker whose task pipe closes reads its end and exits
-        for fd in [*orders.values(), *results.values()]:
-            os.close(fd)
-        for pid in results:
+        for conn in running:
+            os.kill(pids[conn], signal.SIGKILL)
+        # a worker whose pipe closes reads its end and exits
+        for conn, pid in pids.items():
+            conn.close()
             try:
                 os.waitpid(pid, 0)
             except ChildProcessError:  # already reaped: SIGCHLD is ignored
@@ -633,12 +566,7 @@ def search(config: SearchConfig) -> SearchOutcome:
         return finish(OutcomeKind.EXHAUSTED_NONE, None, 0, 0)
     eng = _Engine(k, size, fixed.table.tolist())
     workers = min(config.workers, _usable_cpus()) if hasattr(os, "fork") else 1
-    if config.mode is SearchMode.FIRST_FOUND:
-        res, nodes, depth, rows, used = _restarts(eng, config, base, workers)
-    else:
-        res, nodes, depth, rows = _exhaustive(
-            eng, config.node_limit, config.progress_interval, workers)
-        used = 1
+    res, nodes, depth, rows, used = _passes(eng, config, base, workers)
     if res == _FOUND:
         return finish(OutcomeKind.FOUND, CliqueCertificate(k, rows), nodes, depth, used)
     if res == _EXHAUSTED:

@@ -577,6 +577,20 @@ class TestWorkers:
                                              node_limit=240_000, restarts=16, rng_seed=9)
         assert (kind, nodes, used) == (OutcomeKind.FOUND, 63_195, 5)
 
+    # whole passes (shares of 3,000 and 9,000 nodes) finish in-process before
+    # the next one would cross FORK_AFTER_NODES; the workers then run every
+    # restart again from restart 0
+    @pytest.mark.parametrize(
+        "node_limit,restarts,rng_seed,expected",
+        [(48_000, 16, 0, (OutcomeKind.LIMIT_REACHED, 48_016, 25, 16)),
+         (360_000, 40, 1, (OutcomeKind.FOUND, 85_334, 28, 10))],
+    )
+    def test_first_found_passes_before_fork(self, node_limit, restarts, rng_seed, expected):
+        kind, nodes, depth, used, _ = self.check(15, 4, mode=SearchMode.FIRST_FOUND,
+                                                 node_limit=node_limit, restarts=restarts,
+                                                 rng_seed=rng_seed)
+        assert (kind, nodes, depth, used) == expected
+
     def test_first_found_limit(self):
         kind, nodes, _, used, _ = self.check(15, 4, mode=SearchMode.FIRST_FOUND,
                                              node_limit=60_000, restarts=3)
@@ -595,9 +609,23 @@ class TestWorkers:
         monkeypatch.setattr(os, "fork", no_fork)
         assert run(9, 4, workers=2).stats.nodes == 84_703
 
+    def test_sigchld_ignored(self):
+        # the kernel reaps every worker itself, so waitpid finds none
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            outcome = run(9, 4, workers=2)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        stats = outcome.stats
+        assert (outcome.kind, stats.nodes, stats.max_depth) == (OutcomeKind.EXHAUSTED_NONE, 84_703, 13)
+        _no_child_left()
+
     def test_dead_worker_raises(self, monkeypatch):
+        from multiprocessing.connection import Connection
+
         parent = os.getpid()
         engine_run = _search_module._Engine.run
+        send = Connection.send
 
         def run_then_die(self, orders, budget, *args):
             if os.getpid() != parent:
@@ -606,10 +634,21 @@ class TestWorkers:
                 os._exit(3)
             return engine_run(self, orders, budget, *args)
 
-        monkeypatch.setattr(_search_module._Engine, "run", run_then_die)
-        with pytest.raises(RuntimeError, match="without a result"):
-            run(9, 4, workers=2)
-        _no_child_left()
+        def send_then_die(self, obj):
+            if os.getpid() != parent:
+                # a worker dies partway through its result: a frame header
+                # announcing 64 bytes, then 3 of them
+                os.write(self.fileno(), (64).to_bytes(4, "big") + b"abc")
+                os._exit(3)
+            send(self, obj)
+
+        for owner, name, dying in ((_search_module._Engine, "run", run_then_die),
+                                   (Connection, "send", send_then_die)):
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, dying)
+                with pytest.raises(RuntimeError, match="without a result"):
+                    run(9, 4, workers=2)
+            _no_child_left()
 
     def test_coordinator_progress_lines(self, capsys):
         outcome = run(9, 4, workers=2, progress_interval=0.0)

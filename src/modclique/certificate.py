@@ -15,17 +15,22 @@ arrive in two states:
   instance is proof the rows really form a clique.  Downstream operations
   (composition, the bound registry, normalization) only accept this type.
 
-There are two proofs.  A table of m >= 3 rows f_i = f_0 + a_i*g, with g a
-bijection and every a_t - a_s a unit mod k (the prime rows j -> i*j mod k
-and their products), is a clique because each pair differs by the bijection
-(a_t - a_s)*g; that is checked exactly in O(m*k) time and O(m + k) extra
-memory.  Every other table, and every table that fails that check, goes
-through the general O(m^2 k) pairwise kernel, which alone reports
-violations.
+Verification is one pass with two exact proofs.  It fits the scalar form
+f_i = f_b + a_i*g, g a bijection, on a basis pair of the first three rows
+(the prime rows j -> i*j mod k and their products have this form) and marks
+the rows that fit it exactly, in O(m*k) time and O(m + k) extra memory.  Two
+fitted rows differ by (a_t - a_s)*g, a bijection iff a_t - a_s is a unit
+mod k.  Every pair through a row that does not fit goes to the O(k)-per-pair
+kernel, so a scalar table with a few corrupted rows costs O(m*k) per bad row
+rather than O(m^2 k), and a table of no scalar form is checked pair by pair.
+Either way a violation is reported, in (t, s) order, with the first
+collision of its difference.
 
 The file format is plain text: optional '#' comment lines, a "k m" header
 line, then m rows of k residues.  Canonical output uses single spaces, one
-row per line, and a trailing newline.
+row per line, and a trailing newline.  A row of ASCII digits and blanks is
+read by one numpy call; any other row, and every row that holds an error,
+is read token by token, so each error names its line and column.
 
 Three known 4-cliques (k = 15, 21, 27) ship as package data; the two
 nontrivial rows for 21 and 27 are stored together with the zero and identity
@@ -52,7 +57,12 @@ MAX_FILE_BYTES = 16 << 20
 
 
 class CertificateError(ValueError):
-    """A certificate failed verification or structural validation."""
+    """A certificate failed verification or structural validation; a failed
+    verification carries its report."""
+
+    def __init__(self, message: str, report: VerificationReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 class CertificateFormatError(ValueError):
@@ -158,8 +168,9 @@ class UncheckedCertificate(_Certificate):
 
 class CliqueCertificate(_Certificate):
     """A verified clique in G_k.  Construction proves every row pair adjacent
-    (in O(m k) for scalar-multiple tables, else by the O(m^2 k) pairwise
-    check) and refuses any certificate that is not actually a clique."""
+    (in O(m k) for a scalar-multiple table, plus O(m k) for each row that
+    breaks the scalar form) and refuses any certificate that is not actually
+    a clique, raising a CertificateError that carries the report."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -170,7 +181,8 @@ class CliqueCertificate(_Certificate):
                 f"rows {first.row_s} and {first.row_t} are not adjacent: "
                 f"difference takes value {first.value} at both "
                 f"{first.point_a} and {first.point_b} "
-                f"({len(report.violations)} violating pair(s) total)"
+                f"({len(report.violations)} violating pair(s) total)",
+                report,
             )
 
 
@@ -187,60 +199,72 @@ def _collision_witness(diff_values: Sequence[int], k: int) -> tuple[int, int, in
     raise AssertionError("no collision in a non-bijective difference")
 
 
-def _is_scalar_clique(k: int, table: np.ndarray) -> bool:
-    """True iff table has m >= 3 rows f_i = f_0 + a_i*g (mod k), g a bijection
-    and every a_t - a_s (s < t) a unit mod k: then each pair differs by the
-    bijection (a_t - a_s)*g, so the rows form a clique.  False means only
-    "not proved here".  Allocates O(m + k) beyond the table."""
+def _scalar_fit(k: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients a and the mask of rows f_i that equal f_b + a_i*g (mod k)
+    exactly, for g = f_c - f_b and the first row pair (b, c) of (0, 1),
+    (0, 2), (1, 2) whose difference g is a bijection; one bad row spoils at
+    most two of those pairs.  No row fits when m < 3 or no pair qualifies.
+    Allocates O(m + k) beyond the table."""
     m = len(table)
-    if m < 3:
-        return False
-    f0 = table[0]
-    g = (table[1] - f0) % k
-    hit = np.zeros(k, dtype=bool)
-    hit[g] = True
-    if not hit.all():
-        return False
+    a = np.zeros(m, dtype=np.int64)
+    fitted = np.zeros(m, dtype=bool)
+    for b, c in ((0, 1), (0, 2), (1, 2)) if m >= 3 else ():
+        g = (table[c] - table[b]) % k
+        if np.bincount(g, minlength=k).all():
+            break
+    else:
+        return a, fitted
+    fb = table[b]
     x = int(np.argmax(g == 1))  # g^-1(1)
-    a = (table[:, x] - f0[x]) % k
-    for i in range(2, m):
-        if ((table[i] - f0 - a[i] * g) % k).any():
-            return False
-    hit[:] = False
-    for t in range(1, m):
-        hit[(a[t] - a[:t]) % k] = True
-    return not (hit & (np.gcd(np.arange(k), k) != 1)).any()
+    a[:] = (table[:, x] - fb[x]) % k
+    for i in range(m):
+        # row by row: an m x k residual would double the table's memory
+        fitted[i] = not ((table[i] - fb - a[i] * g) % k).any()
+    return a, fitted
 
 
-def _pair_violations(k: int, table: np.ndarray) -> tuple[PairViolation, ...]:
-    """Every non-adjacent row pair (s, t), s < t, with one collision witness."""
-    m = len(table)
-    if m < 2:
-        return ()
-    table = table.astype(np.int32 if 2 * k * m < 2**31 else np.int64, copy=False)
-    # Row t minus row s has entries in (-k, k); shifting row s's block by
-    # 2k*s + k drops every difference into the half-open band
-    # (2k*s, 2k*(s+1)), residue r landing at in-band offset r or r + k.
+def _not_bijective(k: int, table: np.ndarray, t: int, rows) -> np.ndarray:
+    """Mask over table[rows], rows before t, of those whose difference with
+    row t is not a bijection."""
+    diffs = table[t] - table[rows]
+    n = len(diffs)
+    # Row t minus row s has entries in (-k, k); shifting the i-th block by
+    # 2k*i + k drops every difference into the half-open band
+    # (2k*i, 2k*(i+1)), residue r landing at in-band offset r or r + k.
     # k entries of a difference row cover all k residue classes iff the
-    # difference is a permutation, so a clique shows every class hit.
-    band_base = np.arange(m, dtype=table.dtype)[:, None] * (2 * k) + k
-    violations: list[PairViolation] = []
-    for t in range(1, m):
-        diffs = table[t] - table[:t]
-        diffs += band_base[:t]
-        hit = np.zeros(2 * k * t, dtype=bool)
-        hit[diffs.ravel()] = True
-        bands = hit.reshape(t, 2 * k)
-        good = (bands[:, :k] | bands[:, k:]).all(axis=1)
-        for s in np.nonzero(~good)[0]:
-            a, b, d = _collision_witness(((table[t] - table[s]) % k).tolist(), k)
-            violations.append(PairViolation(int(s), t, a, b, d))
-    return tuple(violations)
+    # difference is a permutation.
+    diffs += np.arange(n, dtype=diffs.dtype)[:, None] * (2 * k) + k
+    hit = np.zeros(2 * k * n, dtype=bool)
+    hit[diffs.ravel()] = True
+    bands = hit.reshape(n, 2 * k)
+    return ~(bands[:, :k] | bands[:, k:]).all(axis=1)
 
 
 def _verification_report(k: int, table: np.ndarray) -> VerificationReport:
-    violations = () if _is_scalar_clique(k, table) else _pair_violations(k, table)
-    return VerificationReport(k, len(table), violations)
+    """Every non-adjacent row pair (s, t), s < t, in (t, s) order, each with
+    one collision witness.  Two rows that fit the scalar form differ by
+    (a_t - a_s)*g, a bijection iff a_t - a_s is a unit mod k, so only pairs
+    through a row that does not fit go to the pairwise kernel: O(m k) for a
+    scalar-multiple table plus O(m k) per row that breaks the form."""
+    m = len(table)
+    a, fitted = _scalar_fit(k, table)
+    non_unit = np.gcd(np.arange(k), k) != 1
+    loose = np.flatnonzero(~fitted)
+    loose_before = np.searchsorted(loose, np.arange(m)).tolist()
+    violations: list[PairViolation] = []
+    for t in range(1, m):
+        if fitted[t]:
+            # a_t - a_s lies in (-k, k); a negative index wraps to its residue
+            bad = non_unit[a[t] - a[:t]]
+            rest = loose[: loose_before[t]]  # rows s < t that do not fit
+            if len(rest):
+                bad[rest] = _not_bijective(k, table, t, rest)
+        else:
+            bad = _not_bijective(k, table, t, slice(0, t))
+        for s in np.flatnonzero(bad).tolist():
+            pa, pb, d = _collision_witness(((table[t] - table[s]) % k).tolist(), k)
+            violations.append(PairViolation(s, t, pa, pb, d))
+    return VerificationReport(k, m, tuple(violations))
 
 
 def verify(cert: CertificateLike) -> VerificationReport:
@@ -309,29 +333,27 @@ def serialize(cert: CertificateLike) -> str:
     return "\n".join(lines) + "\n"
 
 
-_INT = r"[+-]?\d+"
-_INT_ROW = re.compile(rf"\s*{_INT}(?:\s+{_INT})*\s*")
+_INT = re.compile(r"[+-]?\d+")
+_TOKEN = re.compile(r"\S+")
+_DIGITS_AND_BLANKS = b"0123456789 \t"
 
 
 def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
-    if not re.fullmatch(_INT, token):
+    if not _INT.fullmatch(token):
         raise CertificateFormatError(f"{what}: {token!r} is not an integer", lineno, column)
     return int(token)
 
 
 def _parse_row(line: str, lineno: int, k: int) -> list[int]:
+    """One row token by token, so the first bad token is reported with its
+    column."""
     tokens = line.split()
     if len(tokens) != k:
         raise CertificateFormatError(
             f"row must have {k} values, got {len(tokens)}", lineno
         )
-    if _INT_ROW.fullmatch(line):
-        values = list(map(int, tokens))
-        if min(values) >= 0 and max(values) < k:
-            return values
-    # token by token, so the first bad one is reported with its column
     values = []
-    for t in re.finditer(r"\S+", line):
+    for t in _TOKEN.finditer(line):
         col = t.start() + 1
         v = _parse_int(t.group(), lineno, col, "value")
         if not 0 <= v < k:
@@ -340,6 +362,32 @@ def _parse_row(line: str, lineno: int, k: int) -> list[int]:
             )
         values.append(v)
     return values
+
+
+def _read_row(line: str, lineno: int, k: int):
+    """One row: a row of ASCII digits, spaces and tabs (serialize writes
+    digits and single spaces) is one numpy call; any other row, and every row
+    that holds an error, goes to _parse_row, so an error and its line and
+    column do not depend on the path.  numpy clamps an overlong token to the
+    int64 maximum, which the range check sends to _parse_row too."""
+    if not line.encode().translate(None, _DIGITS_AND_BLANKS):
+        row = np.fromstring(line, dtype=np.int64, sep=" ")
+        if len(row) == k and row.max() < k:
+            return row
+    return _parse_row(line, lineno, k)
+
+
+def _parse_body(body: list[tuple[int, str]], k: int) -> np.ndarray:
+    """The (m, k) table of the m row lines, read into one preallocated array."""
+    if sum(len(line) for _, line in body) < len(body) * (2 * k - 1):
+        # k values take at least 2k - 1 characters, so some row falls short:
+        # raise its error (or an earlier row's) before allocating m x k
+        for lineno, line in body:
+            _read_row(line, lineno, k)
+    table = np.empty((len(body), k), dtype=np.int64)
+    for i, (lineno, line) in enumerate(body):
+        table[i] = _read_row(line, lineno, k)
+    return table
 
 
 def parse(text: str) -> UncheckedCertificate:
@@ -366,7 +414,7 @@ def parse(text: str) -> UncheckedCertificate:
         raise CertificateFormatError("empty input: missing \"k m\" header", 1)
 
     header_line, header = data[0]
-    tokens = list(re.finditer(r"\S+", header))
+    tokens = list(_TOKEN.finditer(header))
     if len(tokens) != 2:
         raise CertificateFormatError(
             f"header must be \"k m\", got {len(tokens)} token(s)", header_line
@@ -391,8 +439,7 @@ def parse(text: str) -> UncheckedCertificate:
             f"expected {m} rows, found extra data", body[m][0]
         )
 
-    table = [_parse_row(line, lineno, k) for lineno, line in body]
-    return UncheckedCertificate(k, table)
+    return UncheckedCertificate(k, _parse_body(body, k))
 
 
 def read_certificate(path: str | Path) -> UncheckedCertificate:

@@ -101,11 +101,10 @@ def _cmd_gen(args) -> int:
 def _cmd_compose(args) -> int:
     certs = []
     for path in (args.left, args.right):
-        unchecked = read_certificate(path)
         try:
-            certs.append(certify(unchecked))
-        except CertificateError:
-            print(f"{path}: {verify(unchecked).summary()}", file=sys.stderr)
+            certs.append(certify(read_certificate(path)))
+        except CertificateError as exc:
+            print(f"{path}: {exc.report.summary()}", file=sys.stderr)
             return EXIT_NEGATIVE
     combined = compose(certs[0], certs[1])
     _emit(serialize(combined), args.out)

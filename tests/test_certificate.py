@@ -23,12 +23,13 @@ from modclique import (
     zero_function,
 )
 from modclique.certificate import (
+    PairViolation,
     VerificationReport,
-    _is_scalar_clique,
-    _pair_violations,
+    _parse_row,
+    _scalar_fit,
     _verification_report,
 )
-from modclique.constructions import smallest_prime_factor
+from modclique.constructions import compose, smallest_prime_factor
 
 from conftest import (
     CERTS_DIR,
@@ -136,23 +137,54 @@ def scalar_cases(seed=15, per_modulus=200):
             yield k, table, corrupted, bijective, len(set(a.tolist())) < m
 
 
+def pairwise_violations(k, table):
+    """The pure O(m^2 k) check, one row pair at a time: every pair (s, t),
+    s < t, in (t, s) order, whose difference repeats a value, with the first
+    point b at which a value repeats and the point a < b where it was seen."""
+    found = []
+    for t in range(1, len(table)):
+        for s in range(t):
+            diff = ((table[t] - table[s]) % k).tolist()
+            if len(set(diff)) == k:
+                continue
+            first_at = {}
+            for b, value in enumerate(diff):
+                if value in first_at:
+                    found.append(PairViolation(s, t, first_at[value], b, value))
+                    break
+                first_at[value] = b
+    return tuple(found)
+
+
+def assert_exact(k, table):
+    """The report equals the pure pairwise check's; returns it."""
+    report = _verification_report(k, table)
+    assert report == VerificationReport(k, len(table), pairwise_violations(k, table)), (
+        k, table.tolist())
+    return report
+
+
+def corrupted(table, cells, rng):
+    """A copy of table with each (row, column) cell moved by a nonzero shift."""
+    k = table.shape[1]
+    table = table.copy()
+    for row, col in cells:
+        table[row, col] = (table[row, col] + rng.integers(1, k)) % k
+    return table
+
+
 class TestScalarProof:
-    """The O(m k) proof for tables f_i = f_0 + a_i*g must agree exactly with
-    the general pairwise kernel, which alone reports violations."""
+    """Rows that fit the scalar form f_i = f_b + a_i*g are decided by their
+    coefficients; the report must equal the pure pairwise check's exactly."""
 
     def test_agrees_with_pairwise_kernel(self):
         seen = Counter()
-        for k, table, corrupted, bijective, repeated in scalar_cases():
-            proved = _is_scalar_clique(k, table)
-            violations = _pair_violations(k, table)
-            assert _verification_report(k, table) == VerificationReport(
-                k, len(table), violations
-            )
-            if proved:
-                assert violations == (), (k, table.tolist())
-            elif not corrupted and not violations:
-                pytest.fail(f"scalar-form clique not proved: k={k} {table.tolist()}")
-            seen["proved" if proved else "corrupted" if corrupted else
+        for k, table, corrupted_, bijective, repeated in scalar_cases():
+            report = assert_exact(k, table)
+            proved = _scalar_fit(k, table)[1].all() and report.ok
+            if not corrupted_ and report.ok:
+                assert proved, f"scalar-form clique not proved: k={k} {table.tolist()}"
+            seen["proved" if proved else "corrupted" if corrupted_ else
                  "non-bijective g" if not bijective else
                  "repeated" if repeated else "non-unit"] += 1
         # every way in and out of the proof is exercised
@@ -162,16 +194,16 @@ class TestScalarProof:
 
     def test_prime_construction_is_proved_by_scalar_path(self):
         for k in (3, 5, 7, 9, 25, 31, 15 * 7):
-            assert _is_scalar_clique(k, prime_construction(k).table)
+            assert _scalar_fit(k, prime_construction(k).table)[1].all()
         # two rows are left to the pairwise kernel
-        assert not _is_scalar_clique(5, prime_construction(5).table[:2])
+        assert not _scalar_fit(5, prime_construction(5).table[:2])[1].any()
 
     def test_non_scalar_clique_is_proved_by_pairwise_kernel(self):
         k = 101
         shifts = np.random.default_rng(7).integers(0, k, (k, 1))
         table = (prime_construction(k).table + shifts) % k
-        assert not _is_scalar_clique(k, table)
-        assert _pair_violations(k, table) == ()
+        assert not _scalar_fit(k, table)[1].all()
+        assert assert_exact(k, table).ok
         assert verify(UncheckedCertificate(k, table)).ok
         assert CliqueCertificate(k, table).row_count == k
 
@@ -180,18 +212,67 @@ class TestScalarProof:
         table = prime_construction(k).table.copy()
         table[5, 7] = (table[5, 7] + 1) % k
         report = verify(UncheckedCertificate(k, table))
-        assert report == VerificationReport(k, k, _pair_violations(k, table))
+        assert report == assert_exact(k, table)
         assert {(v.row_s, v.row_t) for v in report.violations} == {
             tuple(sorted((5, r))) for r in range(k) if r != 5
         }
-        with pytest.raises(CertificateError, match="rows 0 and 5 are not adjacent"):
+        with pytest.raises(CertificateError, match="rows 0 and 5 are not adjacent") as exc:
             CliqueCertificate(k, table)
+        assert exc.value.report == report
+
+    def test_prime_tables_with_bad_cells(self):
+        # one bad row spoils at most two of the basis pairs (0, 1), (0, 2),
+        # (1, 2); column 1 is g^-1(1), where the coefficients are read
+        rng = np.random.default_rng(17)
+        for k in (*range(5, 102), 105):
+            table = prime_construction(k).table
+            m = len(table)
+            for row in range(min(m, 3)):
+                assert not assert_exact(k, corrupted(table, [(row, 1)], rng)).ok
+            for n_bad in (1, 2, 3):
+                cells = [(rng.integers(m), rng.integers(k)) for _ in range(n_bad)]
+                assert not assert_exact(k, corrupted(table, cells, rng)).ok
+            both = corrupted(table, [(0, rng.integers(k)), (1, rng.integers(k))], rng)
+            assert not assert_exact(k, both).ok
+
+    def test_more_rows_than_the_prime_construction(self):
+        # rows i*j for every i < k: fitted pairs with non-unit differences
+        rng = np.random.default_rng(18)
+        for k in (4, 9, 12, 15, 21, 25, 27, 35, 49):
+            table = np.outer(np.arange(k), np.arange(k)) % k
+            assert _scalar_fit(k, table)[1].all()
+            assert not assert_exact(k, table).ok
+            shuffled = table[rng.permutation(k)]
+            assert not assert_exact(k, shuffled).ok
+            assert not assert_exact(k, corrupted(shuffled, [(k // 2, 3)], rng)).ok
+
+    def test_bundled_and_product_tables(self, k15_cert, k21_cert, k27_cert):
+        rng = np.random.default_rng(19)
+        for cert in (k15_cert, k21_cert, k27_cert):
+            for right in (prime_construction(5), prime_construction(7), cert):
+                table = compose(cert, right).table
+                assert assert_exact(table.shape[1], table).ok
+                for row in range(4):
+                    bad = corrupted(table, [(row, rng.integers(table.shape[1]))], rng)
+                    assert not assert_exact(bad.shape[1], bad).ok
+            assert assert_exact(cert.k, cert.table).ok
 
     def test_largest_prime_construction_is_fast(self):
         start = time.perf_counter()
         cert = prime_construction(1021)
         assert time.perf_counter() - start < 1.0
         assert cert.row_count == 1021
+
+    def test_corrupted_large_prime_table_is_fast(self):
+        k = 997
+        table = prime_construction(k).table.copy()
+        table[500, 7] = (table[500, 7] + 1) % k
+        start = time.perf_counter()
+        report = verify(UncheckedCertificate(k, table))
+        assert time.perf_counter() - start < 1.0
+        assert {(v.row_s, v.row_t) for v in report.violations} == {
+            tuple(sorted((500, r))) for r in range(k) if r != 500
+        }
 
 
 class TestTypedStates:
@@ -382,6 +463,66 @@ class TestFileFormat:
     def test_degenerate_modulus_rejected(self):
         with pytest.raises(CertificateFormatError):
             parse("1 1\n0\n")
+
+    def test_canonical_rows_match_token_path(self, k15_cert, k27_cert):
+        rng = np.random.default_rng(20)
+        for cert in (k15_cert, prime_construction(97), compose(k27_cert, prime_construction(7)),
+                     UncheckedCertificate(1000, rng.integers(0, 1000, (3, 1000)))):
+            lines = serialize(cert).splitlines()
+            by_token = [_parse_row(line, n, cert.k) for n, line in enumerate(lines[1:], 2)]
+            assert np.array_equal(parse("\n".join(lines)).table, by_token)
+
+    def test_loose_rows_parse_as_before(self, tmp_path):
+        from modclique import read_certificate
+
+        text = "5 4\n0\t1 2 3 4\n 0  2 4  1 3 \n+0 +3 +1 +4 +2\n000 004 003 002 001\n"
+        rows = [[0, 1, 2, 3, 4], [0, 2, 4, 1, 3], [0, 3, 1, 4, 2], [0, 4, 3, 2, 1]]
+        assert parse(text).table.tolist() == rows
+        path = tmp_path / "crlf.cert"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert read_certificate(path).table.tolist() == rows
+
+    @pytest.mark.parametrize("token, message", [
+        ("-1", "value -1 out of range [0, 5)"),
+        ("5", "value 5 out of range [0, 5)"),
+        ("x", "value: 'x' is not an integer"),
+        ("1.5", "value: '1.5' is not an integer"),
+        # numpy would clamp this token to the int64 maximum
+        ("99999999999999999999", "value 99999999999999999999 out of range [0, 5)"),
+    ])
+    def test_bad_value_names_line_and_column(self, token, message):
+        text = f"5 3\n0 1 2 3 4\n0 2 {token} 1 3\n0 3 1 4 2\n"
+        with pytest.raises(CertificateFormatError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"{message} (line 3, column 5)", 3, 5)
+
+    def test_first_bad_row_is_reported(self):
+        # a canonical row out of range comes before a later malformed row
+        with pytest.raises(CertificateFormatError, match="value 7 out of range") as exc:
+            parse("5 3\n0 1 2 3 4\n0 7 4 1 3\n0 3 1 x 2\n")
+        assert (exc.value.line, exc.value.column) == (3, 3)
+        # ... and before a later short row, which is looked for first
+        with pytest.raises(CertificateFormatError, match="value 7 out of range") as exc:
+            parse("5 3\n0 1 2 3 4\n0 7 4 1 3\n0 3\n")
+        assert (exc.value.line, exc.value.column) == (3, 3)
+
+    def test_short_rows_under_a_huge_header(self):
+        # the m x k table is not allocated before the short row is found
+        k = 2**61 - 1
+        with pytest.raises(CertificateFormatError, match=f"must have {k} values, got 2") as exc:
+            parse(f"{k} 3\n0 0\n0 1\n0 2\n")
+        assert exc.value.line == 2
+
+    def test_large_canonical_file_reads_fast(self, tmp_path):
+        from modclique import read_certificate
+
+        path = tmp_path / "p997.cert"
+        path.write_text(serialize(prime_construction(997)))
+        start = time.perf_counter()
+        cert = read_certificate(path)
+        assert time.perf_counter() - start < 0.25
+        assert cert.table.shape == (997, 997)
 
 
 class TestFileHelpers:

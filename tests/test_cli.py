@@ -147,6 +147,24 @@ class TestCompose:
         assert code == 1
         assert "FAIL" in err
 
+    def test_non_verifying_input_is_checked_once(self, capsys, tmp_path, monkeypatch):
+        import modclique.certificate as certificate
+
+        reports, original = [], certificate._verification_report
+
+        def counted(k, table):
+            reports.append(original(k, table))
+            return reports[-1]
+
+        monkeypatch.setattr(certificate, "_verification_report", counted)
+        bad = tmp_path / "bad.cert"
+        bad.write_text("4 3\n0 0 0 0\n0 1 2 3\n0 2 0 2\n")
+        code, out, err = run(capsys, "compose", K15, str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"{bad}: FAIL: 1 non-adjacent row pair(s) in G_4\n"
+        # one report per input file: K15's proof and bad.cert's failure
+        assert [r.ok for r in reports] == [True, False]
+
 
 class TestSearch:
     def test_exhaustive_nonexistence(self, capsys):

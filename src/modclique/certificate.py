@@ -24,7 +24,8 @@ mod k.  Every pair through a row that does not fit goes to the O(k)-per-pair
 kernel, so a scalar table with a few corrupted rows costs O(m*k) per bad row
 rather than O(m^2 k), and a table of no scalar form is checked pair by pair.
 Either way a violation is reported, in (t, s) order, with the first
-collision of its difference.
+collision of its difference.  A table of more than MAX_VERIFIED_ROWS rows is
+refused with a ValueError before any of this work.
 
 The file format is plain text: optional '#' comment lines, a "k m" header
 line, then m rows of k residues.  Canonical output uses single spaces, one
@@ -39,6 +40,7 @@ rows they extend.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -51,6 +53,16 @@ import numpy as np
 from .core import ModFunction, validate_modulus
 
 BUILTIN_MODULI = (15, 21, 27)
+# Largest table (rows x modulus) the package builds: 8 MiB of int64 cells.
+# A scalar-multiple table of that size verifies in O(m k), about 0.03 s; any
+# other table takes the O(m^2 k) pairwise check, still only seconds at this
+# size.  It admits every prime modulus up to 1021 and bounds k, hence every
+# value, by 2^20, far from int64 overflow in composition and verification.
+MAX_TABLE_CELLS = 1 << 20
+# Most rows a verified table may have, 1024: the pairwise check's cost grows
+# as m x m, kept within MAX_TABLE_CELLS as search keeps s x s.  The tallest
+# table the package builds, prime_construction(1021), has 1021 rows.
+MAX_VERIFIED_ROWS = math.isqrt(MAX_TABLE_CELLS)
 # the largest file the package writes, 2^20 cells of at most 7 characters
 # each, is about 7 MiB
 MAX_FILE_BYTES = 16 << 20
@@ -129,6 +141,15 @@ def _as_table(k: int, table: np.typing.ArrayLike) -> np.ndarray:
     return arr
 
 
+def check_table_size(m: int, k: int):
+    """Refuse, before allocating, an m x k table over MAX_TABLE_CELLS."""
+    if m * k > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"a {m} x {k} table has {m * k} cells, over the cap of "
+            f"{MAX_TABLE_CELLS}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class _Certificate:
     """Modulus k and a read-only (m, k) int64 table; the constructor accepts
@@ -170,7 +191,8 @@ class CliqueCertificate(_Certificate):
     """A verified clique in G_k.  Construction proves every row pair adjacent
     (in O(m k) for a scalar-multiple table, plus O(m k) for each row that
     breaks the scalar form) and refuses any certificate that is not actually
-    a clique, raising a CertificateError that carries the report."""
+    a clique, raising a CertificateError that carries the report.  A table of
+    more than MAX_VERIFIED_ROWS rows raises a plain ValueError unverified."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -245,8 +267,15 @@ def _verification_report(k: int, table: np.ndarray) -> VerificationReport:
     one collision witness.  Two rows that fit the scalar form differ by
     (a_t - a_s)*g, a bijection iff a_t - a_s is a unit mod k, so only pairs
     through a row that does not fit go to the pairwise kernel: O(m k) for a
-    scalar-multiple table plus O(m k) per row that breaks the form."""
+    scalar-multiple table plus O(m k) per row that breaks the form.  A table
+    of more than MAX_VERIFIED_ROWS rows raises a ValueError (not a
+    CertificateError: nothing was verified) before any pair work."""
     m = len(table)
+    if m > MAX_VERIFIED_ROWS:
+        raise ValueError(
+            f"a table of {m} rows is over the cap of {MAX_VERIFIED_ROWS} rows "
+            "that verification admits"
+        )
     a, fitted = _scalar_fit(k, table)
     non_unit = np.gcd(np.arange(k), k) != 1
     loose = np.flatnonzero(~fitted)
@@ -275,7 +304,8 @@ def verify(cert: CertificateLike) -> VerificationReport:
     witness is re-checkable from the certificate alone.  A CliqueCertificate
     already ran this exact check when it was constructed, so its report is
     returned without recomputation; re-check from scratch by wrapping the
-    table in an UncheckedCertificate.
+    table in an UncheckedCertificate.  A table of more than
+    MAX_VERIFIED_ROWS rows raises ValueError.
     """
     if isinstance(cert, CliqueCertificate):
         return VerificationReport(cert.k, cert.row_count, ())

@@ -23,28 +23,16 @@ from typing import Union
 
 import numpy as np
 
-from .certificate import (
+from .certificate import (  # noqa: F401  (MAX_TABLE_CELLS: re-exported)
+    MAX_TABLE_CELLS,
     CertificateError,
     CliqueCertificate,
     builtin_certificates,
     certify,
+    check_table_size,
     read_certificate,
 )
 from .core import validate_modulus
-
-# Largest table (rows x modulus) a construction will build: 8 MiB of int64
-# cells.  A scalar-multiple table of that size verifies in O(m k), about
-# 0.03 s; any other table takes the O(m^2 k) pairwise check, still only
-# seconds at this size.  It admits every prime modulus up to 1021 and bounds
-# k, hence every value, by 2^20, far from int64 overflow in composition and
-# verification.
-MAX_TABLE_CELLS = 1 << 20
-# Most values a first-found search may shuffle into value orders, one k-value
-# order per free cell per restart, whatever the node budget: the largest
-# admitted run, `search -k 1021 -s 3 --first-found --node-limit 4 --restarts
-# 4` (4,165,680 draws), takes about 2.6 s on one core.  Every search the
-# table cap admits may take 4 restarts.
-MAX_ORDER_DRAWS = 1 << 22
 
 
 # factorize trial-divides by the primes below _TRIAL_LIMIT; what is left
@@ -145,15 +133,6 @@ def smallest_prime_factor(k: int) -> int:
 
 def is_prime(k: int) -> bool:
     return k >= 2 and factorize(k) == ((k, 1),)
-
-
-def check_table_size(m: int, k: int):
-    """Refuse, before allocating, an m x k table over MAX_TABLE_CELLS."""
-    if m * k > MAX_TABLE_CELLS:
-        raise ValueError(
-            f"a {m} x {k} table has {m * k} cells, over the cap of "
-            f"{MAX_TABLE_CELLS}"
-        )
 
 
 def prime_construction(k: int) -> CliqueCertificate:

@@ -48,8 +48,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .certificate import CliqueCertificate, UncheckedCertificate, certify, is_normalized
-from .constructions import MAX_ORDER_DRAWS, check_table_size
+from .certificate import (
+    CliqueCertificate,
+    UncheckedCertificate,
+    certify,
+    check_table_size,
+    is_normalized,
+)
 from .core import validate_modulus
 
 
@@ -113,6 +118,13 @@ class SearchConfig:
     workers: int = 1
 
 
+# Most values a first-found search may shuffle into value orders, one k-value
+# order per free cell per restart, whatever the node budget: the largest
+# admitted run, `search -k 1021 -s 3 --first-found --node-limit 4 --restarts
+# 4` (4,165,680 draws), takes about 2.6 s on one core.  Every search the
+# table cap admits may take 4 restarts.
+MAX_ORDER_DRAWS = 1 << 22
+
 # Nodes a multi-worker search may spend in-process; one that needs more
 # discards them and forks.  Forking, sending tasks to the workers and
 # reaping them takes about 4 ms, the time of some 3,000-6,000 nodes, so a
@@ -171,10 +183,6 @@ def _fixed_rows(config: SearchConfig) -> CliqueCertificate:
     return certify(fixed)
 
 
-# internal DFS verdicts
-_FOUND, _EXHAUSTED, _LIMIT = range(3)
-
-
 class _Progress:
     """Progress lines to stderr, at most one per ``interval`` seconds, on a
     clock started at construction."""
@@ -231,7 +239,8 @@ class _Engine:
         self.cell_pairs[0] = row_pairs[base] + [(self.rows[0], size * (size - 1) // 2)]
 
     def run(self, orders: list[list[int]] | None, budget: int | None,
-            progress: _Progress | None = None, roots: int = -1) -> tuple[int, int, int]:
+            progress: _Progress | None = None, roots: int = -1
+            ) -> tuple[OutcomeKind, int, int]:
         """One pass, or the part of one under the root values in ``roots``
         (a bitmask): a depth-first search from fresh masks, in one loop over
         per-depth arrays, so depth is bounded by the cell count, not the
@@ -243,10 +252,11 @@ class _Engine:
         untried values are a bitmask in both modes: the lowest bit is tried
         next or, with ``orders``, the bit of least rank in the cell's order,
         read from the order's inverse.  Progress lines go to ``progress``,
-        one per 256 nodes at most.  Returns (verdict, nodes, max_depth) with
-        the grid as it stands, so a witness stays in ``rows``.  Free cells
-        keep an earlier call's values until assigned, but no cell is read
-        before this call assigns it."""
+        one per 256 nodes at most.  Returns (verdict, nodes, max_depth), the
+        verdict FOUND, EXHAUSTED_NONE or LIMIT_REACHED, with the grid as it
+        stands, so a witness stays in ``rows``.  Free cells keep an earlier
+        call's values until assigned, but no cell is read before this call
+        assigns it."""
         k, size = self.k, len(self.rows)
         cell_row, cell_col, cell_pairs, cell_lex = (
             self.cell_row, self.cell_col, self.cell_pairs, self.cell_lex)
@@ -284,7 +294,7 @@ class _Engine:
             while not rest:
                 ci -= 1
                 if ci < 0:
-                    return _EXHAUSTED, nodes, max_depth
+                    return OutcomeKind.EXHAUSTED_NONE, nodes, max_depth
                 j = cell_col[ci]
                 v = cell_row[ci][j]
                 for src, slot in cell_pairs[ci]:
@@ -315,7 +325,7 @@ class _Engine:
             nodes += 1
             if nodes >= check:
                 if nodes >= stop:
-                    return _LIMIT, nodes, max_depth
+                    return OutcomeKind.LIMIT_REACHED, nodes, max_depth
                 progress.report(nodes, max_depth)
                 check = min(stop, nodes + 256)
             if ci >= max_depth:
@@ -326,7 +336,7 @@ class _Engine:
                 used2[slot] |= bit2[v - src[j]]
             ci += 1
             if ci == ncells:
-                return _FOUND, nodes, max_depth
+                return OutcomeKind.FOUND, nodes, max_depth
 
 
 def column_candidates(
@@ -400,7 +410,7 @@ def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
     passes = config.restarts if first_found else 1
     share = None if limit is None else limit // passes
     # a pass's verdict that lets the next pass or task run
-    keep = _LIMIT if first_found else _EXHAUSTED
+    keep = OutcomeKind.LIMIT_REACHED if first_found else OutcomeKind.EXHAUSTED_NONE
     interval, ncells = config.progress_interval, len(eng.cell_col)
 
     def orders(i):
@@ -415,10 +425,10 @@ def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
         cap = share if workers == 1 or share is not None and share <= room else room
         progress = None if interval is None else _Progress(interval, ncells, label(i))
         res, n, d = eng.run(orders(i), cap, progress)
-        if res == _LIMIT and cap != share:
+        if res is OutcomeKind.LIMIT_REACHED and cap != share:
             break
         nodes, depth = nodes + n, max(depth, d)
-        if res != keep:
+        if res is not keep:
             return res, nodes, depth, eng.rows, i + 1
     else:
         return keep, nodes, depth, None, passes
@@ -427,7 +437,7 @@ def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
 
     def work(i):
         res, n, d = eng.run(orders(i), share, None, -1 if first_found else 1 << i)
-        return res, n, d, eng.rows if res == _FOUND else None
+        return res, n, d, eng.rows if res is OutcomeKind.FOUND else None
 
     def merge(i, result):
         nonlocal nodes, depth
@@ -436,7 +446,7 @@ def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
             # this root's subtree crosses the budget: walk it again on the rest
             res, n, d = eng.run(None, limit - nodes, None, 1 << i)
         nodes, depth = nodes + n, max(depth, d)
-        if res != keep:
+        if res is not keep:
             return res, nodes, depth, rows, i + 1 if first_found else 1
         if progress is not None:
             progress.label = label(i + 1)
@@ -448,7 +458,8 @@ def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
     return done or (keep, nodes, depth, None, passes)
 
 
-def _forked(count: int, work, keep: int, merge, workers: int, progress: _Progress | None):
+def _forked(count: int, work, keep: OutcomeKind, merge, workers: int,
+            progress: _Progress | None):
     """Run ``work(i)`` for tasks i = 0 .. count - 1 on forked worker
     processes (at most ``workers``, while this process only coordinates) and
     pass each result, a (verdict, nodes, max_depth, rows) tuple, to
@@ -523,7 +534,7 @@ def _forked(count: int, work, keep: int, merge, workers: int, progress: _Progres
                 done[i] = result
                 idle.append(conn)
                 nodes, depth = nodes + result[1], max(depth, result[2])
-                if result[0] != keep:
+                if result[0] is not keep:
                     end = min(end, i + 1)
             if progress is not None:
                 progress.report(nodes, depth)
@@ -566,10 +577,8 @@ def search(config: SearchConfig) -> SearchOutcome:
         return finish(OutcomeKind.EXHAUSTED_NONE, None, 0, 0)
     eng = _Engine(k, size, fixed.table.tolist())
     workers = min(config.workers, _usable_cpus()) if hasattr(os, "fork") else 1
-    res, nodes, depth, rows, used = _passes(eng, config, base, workers)
-    if res == _FOUND:
-        return finish(OutcomeKind.FOUND, CliqueCertificate(k, rows), nodes, depth, used)
-    if res == _EXHAUSTED:
-        kind = OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if base > 2 else OutcomeKind.EXHAUSTED_NONE
-        return finish(kind, None, nodes, depth, used)
-    return finish(OutcomeKind.LIMIT_REACHED, None, nodes, depth, used)
+    kind, nodes, depth, rows, used = _passes(eng, config, base, workers)
+    if kind is OutcomeKind.EXHAUSTED_NONE and base > 2:
+        kind = OutcomeKind.EXHAUSTED_NONE_UNDER_SEED
+    cert = CliqueCertificate(k, rows) if kind is OutcomeKind.FOUND else None
+    return finish(kind, cert, nodes, depth, used)

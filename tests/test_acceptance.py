@@ -7,6 +7,9 @@ import math
 import time
 from contextlib import contextmanager
 
+import pytest
+from hypothesis import is_hypothesis_test
+
 from modclique import (
     CertificateRegistry,
     OutcomeKind,
@@ -27,12 +30,18 @@ from modclique import (
 )
 from modclique.oracle import triangle_count_by_enumeration, triangle_count_by_pairs
 
+import properties
 from conftest import CERTS_DIR
 
 # node budget documented in the README for the unseeded k=15 rediscovery
 K15_RESTARTS = 40
 K15_NODE_BUDGET = 2_000_000
 K15_RNG_SEED = 0
+
+# criterion 12: every hypothesis test in tests/properties.py, a module pytest
+# does not collect by itself, each with an even share of the 900 s budget
+PROPERTIES = [f for f in vars(properties).values() if is_hypothesis_test(f)]
+PROPERTY_BUDGET_S = 900.0 / len(PROPERTIES)
 
 
 @contextmanager
@@ -181,8 +190,15 @@ def test_c11_triangle_cross_validation():
 
 
 def test_c12_property_suite():
-    import test_properties
+    # every test function in tests/properties.py is a hypothesis test under
+    # CASES, so the filter above drops none and test_c12_property runs them all
+    tests = [f for name, f in vars(properties).items() if name.startswith("test_")]
+    assert tests and tests == PROPERTIES
+    for f in tests:
+        assert f._hypothesis_internal_use_settings is properties.CASES, f.__name__
 
-    with criterion(12, "randomized property suite", 900.0):
-        for prop in test_properties.PROPERTIES:
-            prop()
+
+@pytest.mark.parametrize("prop", PROPERTIES, ids=lambda f: f.__name__)
+def test_c12_property(prop):
+    with criterion(12, f"randomized property {prop.__name__}", PROPERTY_BUDGET_S):
+        prop()

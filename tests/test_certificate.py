@@ -23,6 +23,7 @@ from modclique import (
     zero_function,
 )
 from modclique.certificate import (
+    MAX_VERIFIED_ROWS,
     PairViolation,
     VerificationReport,
     _parse_row,
@@ -104,6 +105,21 @@ class TestVerify:
                         k, tuple(ModFunction(k, tuple(r)) for r in rows)
                     )
                     assert not verify(mutated).ok
+
+    def test_row_cap(self):
+        # 1031 is prime, so every i*j table over it is a clique
+        k = 1031
+        table = np.outer(np.arange(MAX_VERIFIED_ROWS + 1), np.arange(k)) % k
+        assert MAX_VERIFIED_ROWS == 1024
+        assert verify(UncheckedCertificate(k, table[:-1])).ok
+        assert CliqueCertificate(k, table[:-1]).row_count == 1024
+        message = "a table of 1025 rows is over the cap of 1024 rows that verification admits"
+        for check in (verify, certify):
+            with pytest.raises(ValueError) as info:
+                check(UncheckedCertificate(k, table))
+            assert str(info.value) == message
+            # nothing was verified: no report, and compose's handler stays out
+            assert not isinstance(info.value, CertificateError)
 
 
 SCALAR_MODULI = (*range(2, 17), 21, 25, 27, 49)

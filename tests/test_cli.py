@@ -5,9 +5,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from modclique import builtin_certificate, normalize, parse, verify
+from modclique import (
+    UncheckedCertificate,
+    builtin_certificate,
+    normalize,
+    parse,
+    serialize,
+    verify,
+)
 from modclique.certificate import MAX_FILE_BYTES
 from modclique.cli import main
 
@@ -126,6 +134,30 @@ class TestTableCap:
         assert code == 2
         assert "over the cap" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv_for",
+        [
+            lambda f, d: ("verify", f),
+            lambda f, d: ("compose", K15, f),
+            lambda f, d: ("bound", "105", "--registry", d),
+        ],
+        ids=["verify", "compose", "bound-registry"],
+    )
+    def test_tall_table_refused_fast(self, capsys, tmp_path, argv_for):
+        # 3,000 random rows over Z_10: about 4.5M row pairs that do not form
+        # a clique, which took 28-49 s and about 770 MB to verify without the
+        # cap on a 2-vCPU VM
+        rng = np.random.default_rng(3000)
+        path = tmp_path / "tall.cert"
+        path.write_text(serialize(UncheckedCertificate(10, rng.integers(0, 10, (3000, 10)))))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv_for(str(path), str(tmp_path)))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a table of 3000 rows is over the cap of 1024 rows that verification admits\n"
+        )
 
 
 class TestCompose:
@@ -251,7 +283,7 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err == "error: progress interval must be at least 0 seconds, got -1.0\n"
 
-    def test_workers_flag_is_checked_and_ignored(self, capsys):
+    def test_workers_1_and_2_print_equal_json_and_0_is_refused(self, capsys):
         args = ("search", "-k", "9", "-s", "4", "--json")
         payloads = []
         for workers in ("1", "2"):

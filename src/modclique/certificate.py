@@ -25,7 +25,8 @@ kernel, so a scalar table with a few corrupted rows costs O(m*k) per bad row
 rather than O(m^2 k), and a table of no scalar form is checked pair by pair.
 Either way a violation is reported, in (t, s) order, with the first
 collision of its difference.  A table of more than MAX_VERIFIED_ROWS rows is
-refused with a ValueError before any of this work.
+refused with a ValueError before any of this work, and ``read_certificate``
+refuses a file of such a table with its path in the message.
 
 The file format is plain text: optional '#' comment lines, a "k m" header
 line, then m rows of k residues.  Canonical output uses single spaces, one
@@ -262,6 +263,16 @@ def _not_bijective(k: int, table: np.ndarray, t: int, rows) -> np.ndarray:
     return ~(bands[:, :k] | bands[:, k:]).all(axis=1)
 
 
+def _check_verified_rows(m: int):
+    """Refuse, with a ValueError, a table of more rows than verification
+    admits."""
+    if m > MAX_VERIFIED_ROWS:
+        raise ValueError(
+            f"a table of {m} rows is over the cap of {MAX_VERIFIED_ROWS} rows "
+            "that verification admits"
+        )
+
+
 def _verification_report(k: int, table: np.ndarray) -> VerificationReport:
     """Every non-adjacent row pair (s, t), s < t, in (t, s) order, each with
     one collision witness.  Two rows that fit the scalar form differ by
@@ -271,11 +282,7 @@ def _verification_report(k: int, table: np.ndarray) -> VerificationReport:
     of more than MAX_VERIFIED_ROWS rows raises a ValueError (not a
     CertificateError: nothing was verified) before any pair work."""
     m = len(table)
-    if m > MAX_VERIFIED_ROWS:
-        raise ValueError(
-            f"a table of {m} rows is over the cap of {MAX_VERIFIED_ROWS} rows "
-            "that verification admits"
-        )
+    _check_verified_rows(m)
     a, fitted = _scalar_fit(k, table)
     non_unit = np.gcd(np.arange(k), k) != 1
     loose = np.flatnonzero(~fitted)
@@ -473,16 +480,19 @@ def parse(text: str) -> UncheckedCertificate:
 
 
 def read_certificate(path: str | Path) -> UncheckedCertificate:
-    """Parse a certificate file of at most MAX_FILE_BYTES bytes.  Every
-    ValueError -- oversized, undecodable or malformed input -- names the path;
-    only the cap plus one byte is ever read."""
+    """Parse a certificate file of at most MAX_FILE_BYTES bytes and at most
+    MAX_VERIFIED_ROWS rows.  Every ValueError -- oversized, undecodable,
+    malformed or too tall input -- names the path; only the cap plus one
+    byte is ever read."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(MAX_FILE_BYTES + 1)
         if len(data) > MAX_FILE_BYTES:
             raise ValueError(f"file is over the cap of {MAX_FILE_BYTES} bytes")
         # universal newlines, as text-mode reading would give
-        return parse(data.decode().replace("\r\n", "\n").replace("\r", "\n"))
+        cert = parse(data.decode().replace("\r\n", "\n").replace("\r", "\n"))
+        _check_verified_rows(cert.row_count)
+        return cert
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -45,6 +45,10 @@ _SMALL_PRIMES = [
 ]
 MAX_COFACTOR = 1 << 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Most divisors a modulus may have in lower_bound, whose divisor DP takes
+# time quadratic in their count: 8,192 divisors (the product of the first 13
+# primes) take about 1.3 s on one core, 720720^2 (3,645 divisors) about 0.4 s.
+MAX_DIVISORS = 1 << 13
 
 
 def _is_prime_cofactor(n: int) -> bool:
@@ -257,9 +261,16 @@ def lower_bound(k: int, registry: CertificateRegistry | None = None) -> BoundRep
     (prime construction before stored certificate), then to the
     lexicographically smallest presented (n, m); a Product is presented
     binding-side first (the factor whose bound equals the min comes first,
-    matching the composition order used on replay).
+    matching the composition order used on replay).  A k with more than
+    MAX_DIVISORS divisors raises ValueError before the DP starts.
     """
     factors = factorize(k)
+    count = math.prod(e + 1 for _, e in factors)
+    if count > MAX_DIVISORS:
+        raise ValueError(
+            f"modulus {k} has {count} divisors, over the cap of {MAX_DIVISORS} "
+            "that the bound's divisor search admits"
+        )
     if registry is None:
         registry = CertificateRegistry.builtin()
     primes = [p for p, _ in factors]

@@ -23,11 +23,10 @@ Each search builds one engine, whose per-cell tables serve every pass (one
 exhaustive pass, or one per first-found restart).  ``_Engine.run`` is the
 only code that opens a cell, assigns a value or undoes one.
 
-Passes run in this process, in order.  With more than one worker
-(``SearchConfig.workers``), the in-process passes may spend only
-``FORK_AFTER_NODES`` nodes in all; a search that needs more drops that work
-and runs again from the start as ordered tasks on forked worker processes.
-An exhaustive task is one value of the root cell (row 2, or the first free
+With one worker (``SearchConfig.workers``) the passes run in this process,
+in order.  With more, the search runs from its first node as ordered tasks
+on forked worker processes, while this process only coordinates.  An
+exhaustive task is one value of the root cell (row 2, or the first free
 row, at column 1): the subtrees under different root values are disjoint,
 so node counts add, depths take their maximum and the first task in root
 order that finds a witness finds the one-pass witness.  A first-found task
@@ -103,8 +102,8 @@ class SearchConfig:
     with seeds present an exhausted tree yields the weaker "none under seed"
     verdict.  With progress_interval set (seconds, at least 0), progress
     lines go to stderr at most that often.  workers (at least 1, clamped to
-    the usable CPUs) is the number of forked worker processes a search that
-    outgrows ``FORK_AFTER_NODES`` nodes may use; it changes no output.
+    the usable CPUs) is the number of worker processes a search forks when
+    it is above 1; it changes no output.
     """
 
     k: int
@@ -124,13 +123,6 @@ class SearchConfig:
 # 4` (4,165,680 draws), takes about 2.6 s on one core.  Every search the
 # table cap admits may take 4 restarts.
 MAX_ORDER_DRAWS = 1 << 22
-
-# Nodes a multi-worker search may spend in-process; one that needs more
-# discards them and forks.  Forking, sending tasks to the workers and
-# reaping them takes about 4 ms, the time of some 3,000-6,000 nodes, so a
-# tree much smaller than this gains nothing: the (8,3) and (10,3) trees (462
-# and 9,356 nodes) never fork.
-FORK_AFTER_NODES = 10_000
 
 
 def _fixed_rows(config: SearchConfig) -> CliqueCertificate:
@@ -394,17 +386,15 @@ def _usable_cpus() -> int:
 
 
 def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
-    """Run the search's passes in turn: one when exhaustive, ``restarts``
-    when first-found (each in its seeded random value orders), each with an
-    even share of the budget.  With more than one worker the passes here may
-    spend only FORK_AFTER_NODES nodes in all; a pass that would cross it
-    drops every node spent here, and the whole search runs again on forked
-    workers as ordered tasks, one per root value when exhaustive and one per
-    restart when first-found.  A worker's exhaustive task that takes the
-    merged count past the budget is walked here again on the exact
-    remainder, so LIMIT reports the one-pass nodes and depth.  Returns
-    (verdict, nodes, max_depth, rows, restarts_used), rows holding the
-    witness if one was found."""
+    """Run the search's passes: one when exhaustive, ``restarts`` when
+    first-found (each in its seeded random value orders), each with an even
+    share of the budget.  With one worker they run here, in turn; with more,
+    the whole search runs on forked workers as ordered tasks, one per root
+    value when exhaustive and one per restart when first-found.  A worker's
+    exhaustive task that takes the merged count past the budget is walked
+    here again on the exact remainder, so LIMIT reports the one-pass nodes
+    and depth.  Returns (verdict, nodes, max_depth, rows, restarts_used),
+    rows holding the witness if one was found."""
     k, size, limit = eng.k, len(eng.rows), config.node_limit
     first_found = config.mode is SearchMode.FIRST_FOUND
     passes = config.restarts if first_found else 1
@@ -420,20 +410,15 @@ def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
         return f" restart={i}" if first_found else ""
 
     nodes = depth = 0
-    for i in range(passes):
-        room = FORK_AFTER_NODES - nodes
-        cap = share if workers == 1 or share is not None and share <= room else room
-        progress = None if interval is None else _Progress(interval, ncells, label(i))
-        res, n, d = eng.run(orders(i), cap, progress)
-        if res is OutcomeKind.LIMIT_REACHED and cap != share:
-            break
-        nodes, depth = nodes + n, max(depth, d)
-        if res is not keep:
-            return res, nodes, depth, eng.rows, i + 1
-    else:
+    if workers == 1:
+        for i in range(passes):
+            progress = None if interval is None else _Progress(interval, ncells, label(i))
+            res, n, d = eng.run(orders(i), share, progress)
+            nodes, depth = nodes + n, max(depth, d)
+            if res is not keep:
+                return res, nodes, depth, eng.rows, i + 1
         return keep, nodes, depth, None, passes
-    if progress is not None:
-        progress.label = label(0)
+    progress = None if interval is None else _Progress(interval, ncells, label(0))
 
     def work(i):
         res, n, d = eng.run(orders(i), share, None, -1 if first_found else 1 << i)
@@ -452,8 +437,6 @@ def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
             progress.label = label(i + 1)
         return None
 
-    # the work done here is dropped: the tasks cover the whole search
-    nodes = depth = 0
     done = _forked(passes if first_found else k, work, keep, merge, workers, progress)
     return done or (keep, nodes, depth, None, passes)
 

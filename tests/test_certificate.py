@@ -121,6 +121,19 @@ class TestVerify:
             # nothing was verified: no report, and compose's handler stays out
             assert not isinstance(info.value, CertificateError)
 
+    def test_row_cap_on_read_names_the_file(self, tmp_path):
+        from modclique import read_certificate
+
+        path = tmp_path / "tall.cert"
+        path.write_text("3 1024\n" + "0 1 2\n" * 1024)
+        assert read_certificate(path).row_count == 1024
+        path.write_text("3 1025\n" + "0 1 2\n" * 1025)
+        with pytest.raises(ValueError) as info:
+            read_certificate(path)
+        assert str(info.value) == (
+            f"{path}: a table of 1025 rows is over the cap of 1024 rows that verification admits"
+        )
+
 
 SCALAR_MODULI = (*range(2, 17), 21, 25, 27, 49)
 

@@ -141,8 +141,9 @@ class TestTableCap:
             lambda f, d: ("verify", f),
             lambda f, d: ("compose", K15, f),
             lambda f, d: ("bound", "105", "--registry", d),
+            lambda f, d: ("search", "-k", "10", "-s", "4", "--seed", f),
         ],
-        ids=["verify", "compose", "bound-registry"],
+        ids=["verify", "compose", "bound-registry", "search-seed"],
     )
     def test_tall_table_refused_fast(self, capsys, tmp_path, argv_for):
         # 3,000 random rows over Z_10: about 4.5M row pairs that do not form
@@ -156,7 +157,8 @@ class TestTableCap:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == (
-            "error: a table of 3000 rows is over the cap of 1024 rows that verification admits\n"
+            f"error: {path}: a table of 3000 rows is over the cap of 1024 rows "
+            "that verification admits\n"
         )
 
 
@@ -377,6 +379,22 @@ class TestBound:
         assert code == 0
         payload = json.loads(out)
         assert (payload["lower_bound"], payload["exact"]) == (bound, exact)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # the product of the first 16 primes: 65,536 divisors
+            (("32589158477190044730",), "has 65536 divisors, over the cap of 8192"),
+            (("--upto", "1000000000"), "--upto must be at most 32768"),
+        ],
+        ids=["many-divisors", "upto"],
+    )
+    def test_unbounded_work_refused_fast(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bound", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_unfactorable_modulus_refused(self, capsys):
         # 2^64 + 13 is prime, so nothing below 1000 divides it

@@ -21,7 +21,7 @@ from modclique import (
     zero_function,
 )
 
-from modclique.constructions import factorize, is_prime
+from modclique.constructions import MAX_DIVISORS, factorize, is_prime
 
 
 def reference_lower_bound(k, registry):
@@ -309,6 +309,15 @@ class TestLowerBound:
         report = lower_bound(720720**2)  # 3,645 divisors
         assert time.perf_counter() - start < 1.5
         assert report.lower_bound == 2 and report.exact
+
+    def test_divisor_cap(self):
+        # 2^2730 * 3^2 has 2731 * 3 = 8,193 divisors, one over the cap, and
+        # is refused before any is listed: the DP is quadratic in their count
+        assert MAX_DIVISORS == 8192
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="has 8193 divisors, over the cap of 8192"):
+            lower_bound(2**2730 * 3**2)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMaterialize:

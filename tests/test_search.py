@@ -21,7 +21,7 @@ from modclique import (
     verify,
     zero_function,
 )
-from modclique.search import FORK_AFTER_NODES, _fixed_rows, _restart_orders
+from modclique.search import _fixed_rows, _restart_orders
 
 from conftest import OMEGA
 
@@ -523,13 +523,16 @@ class TestWorkers:
     """Two forked workers give exactly the one-worker outcome: the root
     tasks' subtrees are disjoint and their results merge in root order."""
 
+    @staticmethod
+    def summary(outcome):
+        cert = outcome.certificate
+        return (outcome.kind, outcome.stats.nodes, outcome.stats.max_depth,
+                outcome.stats.restarts_used, None if cert is None else cert.table.tolist())
+
     def check(self, k, size, **kwargs):
         got = []
         for workers in (1, 2):
-            outcome = run(k, size, workers=workers, **kwargs)
-            cert = outcome.certificate
-            got.append((outcome.kind, outcome.stats.nodes, outcome.stats.max_depth,
-                        outcome.stats.restarts_used, None if cert is None else cert.table.tolist()))
+            got.append(self.summary(run(k, size, workers=workers, **kwargs)))
             _no_child_left()
         assert got[0] == got[1]
         return got[0]
@@ -542,6 +545,36 @@ class TestWorkers:
     def test_exhaustive_witnesses(self, k, size):
         assert self.check(k, size)[0] is OutcomeKind.FOUND
 
+    @pytest.mark.parametrize("k,size", [(3, 3), (5, 3), (7, 3), (7, 7)])
+    def test_tiny_trees(self, k, size):
+        # prime k: the i*j rows form a k-clique, so every tree has a witness
+        assert self.check(k, size)[0] is OutcomeKind.FOUND
+        assert self.check(k, size, mode=SearchMode.FIRST_FOUND, restarts=3)[0] is OutcomeKind.FOUND
+
+    @pytest.mark.parametrize(
+        "k,size,kwargs",
+        [(8, 3, {}), (10, 3, {}),
+         (15, 4, dict(mode=SearchMode.FIRST_FOUND, node_limit=2_000_000, restarts=40))],
+    )
+    def test_parent_walks_no_node(self, monkeypatch, k, size, kwargs):
+        # with two workers the search forks before its first node: this
+        # process only merges the workers' results
+        parent = os.getpid()
+        engine_run = _search_module._Engine.run
+        calls = []
+
+        def recording_run(self, *args):
+            if os.getpid() == parent:
+                calls.append(args)
+            return engine_run(self, *args)
+
+        expected = self.check(k, size, **kwargs)
+        monkeypatch.setattr(_search_module._Engine, "run", recording_run)
+        outcome = run(k, size, workers=2, **kwargs)
+        assert calls == []
+        assert self.summary(outcome) == expected
+        _no_child_left()
+
     @pytest.mark.parametrize(
         "size,seeds,kind",
         [(5, K15[2:4], OutcomeKind.EXHAUSTED_NONE_UNDER_SEED), (4, K15[3:4], OutcomeKind.FOUND)],
@@ -551,10 +584,9 @@ class TestWorkers:
 
     # (12,3)'s root tasks walk 23,833-28,269 nodes each: these budgets run
     # out in the first forked task, inside later ones, or just short of the
-    # whole tree (260,954 nodes); FORK_AFTER_NODES itself never forks
+    # whole tree (260,954 nodes)
     @pytest.mark.parametrize(
-        "node_limit",
-        [FORK_AFTER_NODES, FORK_AFTER_NODES + 1, 50_000, 100_000, 200_000, 260_953, 260_954],
+        "node_limit", [10_000, 10_001, 50_000, 100_000, 200_000, 260_953, 260_954]
     )
     def test_exhaustive_node_limit(self, node_limit):
         kind, nodes, *_ = self.check(12, 3, node_limit=node_limit)
@@ -571,21 +603,18 @@ class TestWorkers:
         assert (nodes, used) == K15_FIRST_FOUND[rng_seed]
 
     def test_first_found_k21(self):
-        # each pass's budget of 15,000 nodes crosses FORK_AFTER_NODES, so
-        # every restart runs in a worker; the fifth finds the witness
+        # each restart has a budget of 15,000 nodes; the fifth finds the witness
         kind, nodes, _, used, _ = self.check(21, 4, mode=SearchMode.FIRST_FOUND,
                                              node_limit=240_000, restarts=16, rng_seed=9)
         assert (kind, nodes, used) == (OutcomeKind.FOUND, 63_195, 5)
 
-    # whole passes (shares of 3,000 and 9,000 nodes) finish in-process before
-    # the next one would cross FORK_AFTER_NODES; the workers then run every
-    # restart again from restart 0
+    # many short restarts (shares of 3,000 and 9,000 nodes), each one task
     @pytest.mark.parametrize(
         "node_limit,restarts,rng_seed,expected",
         [(48_000, 16, 0, (OutcomeKind.LIMIT_REACHED, 48_016, 25, 16)),
          (360_000, 40, 1, (OutcomeKind.FOUND, 85_334, 28, 10))],
     )
-    def test_first_found_passes_before_fork(self, node_limit, restarts, rng_seed, expected):
+    def test_first_found_short_restarts(self, node_limit, restarts, rng_seed, expected):
         kind, nodes, depth, used, _ = self.check(15, 4, mode=SearchMode.FIRST_FOUND,
                                                  node_limit=node_limit, restarts=restarts,
                                                  rng_seed=rng_seed)

@@ -17,6 +17,7 @@ names documented in the README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -286,6 +287,7 @@ def _cmd_census(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process, on the first call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modclique",

@@ -23,8 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .certificate import (  # noqa: F401  (MAX_TABLE_CELLS: re-exported)
-    MAX_TABLE_CELLS,
+from .certificate import (
     CertificateError,
     CliqueCertificate,
     builtin_certificates,

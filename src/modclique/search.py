@@ -23,15 +23,17 @@ Each search builds one engine, whose per-cell tables serve every pass (one
 exhaustive pass, or one per first-found restart).  ``_Engine.run`` is the
 only code that opens a cell, assigns a value or undoes one.
 
-With one worker (``SearchConfig.workers``) the passes run in this process,
-in order.  With more, the search runs from its first node as ordered tasks
-on forked worker processes, while this process only coordinates.  An
-exhaustive task is one value of the root cell (row 2, or the first free
-row, at column 1): the subtrees under different root values are disjoint,
-so node counts add, depths take their maximum and the first task in root
-order that finds a witness finds the one-pass witness.  A first-found task
-is one restart.  Results are merged in task order, so every output equals
-that of one worker.
+One loop merges the passes' results in task order at every worker count
+(``SearchConfig.workers``).  With one worker the tasks are the passes, run
+in this process as the loop asks for them.  With more, the search runs from
+its first node as ordered tasks on forked worker processes, while this
+process only coordinates and reads their results as one stream in task
+order.  An exhaustive task is one value of the root cell (row 2, or the
+first free row, at column 1): the subtrees under different root values are
+disjoint, so node counts add, depths take their maximum and the first task
+in root order that finds a witness finds the one-pass witness.  A
+first-found task is one restart.  So every output equals that of one
+worker.
 
 Found witnesses are re-verified through the certificate module and come out
 already in normalized form.
@@ -39,6 +41,7 @@ already in normalized form.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import sys
@@ -388,13 +391,16 @@ def _usable_cpus() -> int:
 def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
     """Run the search's passes: one when exhaustive, ``restarts`` when
     first-found (each in its seeded random value orders), each with an even
-    share of the budget.  With one worker they run here, in turn; with more,
-    the whole search runs on forked workers as ordered tasks, one per root
-    value when exhaustive and one per restart when first-found.  A worker's
-    exhaustive task that takes the merged count past the budget is walked
-    here again on the exact remainder, so LIMIT reports the one-pass nodes
-    and depth.  Returns (verdict, nodes, max_depth, rows, restarts_used),
-    rows holding the witness if one was found."""
+    share of the budget.  One loop merges the results, (verdict, nodes,
+    max_depth, rows) tuples, in task order at every worker count: with one
+    worker the tasks are the passes, run here in turn as the loop asks for
+    them; with more, ``_forked`` runs the whole search on forked workers as
+    ordered tasks, one per root value when exhaustive and one per restart
+    when first-found, and leaving the loop closes that stream, which kills
+    the workers still running.  A root task that takes the merged count past
+    the budget is walked here again on the exact remainder, so LIMIT reports
+    the one-pass nodes and depth.  Returns (verdict, nodes, max_depth, rows,
+    restarts_used), rows holding the witness if one was found."""
     k, size, limit = eng.k, len(eng.rows), config.node_limit
     first_found = config.mode is SearchMode.FIRST_FOUND
     passes = config.restarts if first_found else 1
@@ -402,61 +408,53 @@ def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
     # a pass's verdict that lets the next pass or task run
     keep = OutcomeKind.LIMIT_REACHED if first_found else OutcomeKind.EXHAUSTED_NONE
     interval, ncells = config.progress_interval, len(eng.cell_col)
-
-    def orders(i):
-        return _restart_orders(k, size, base, config.rng_seed, i) if first_found else None
+    # forked, an exhaustive pass runs as one task per root value
+    split = workers > 1 and not first_found
 
     def label(i):
         return f" restart={i}" if first_found else ""
 
-    nodes = depth = 0
-    if workers == 1:
-        for i in range(passes):
-            progress = None if interval is None else _Progress(interval, ncells, label(i))
-            res, n, d = eng.run(orders(i), share, progress)
-            nodes, depth = nodes + n, max(depth, d)
-            if res is not keep:
-                return res, nodes, depth, eng.rows, i + 1
-        return keep, nodes, depth, None, passes
-    progress = None if interval is None else _Progress(interval, ncells, label(0))
-
     def work(i):
-        res, n, d = eng.run(orders(i), share, None, -1 if first_found else 1 << i)
+        orders = _restart_orders(k, size, base, config.rng_seed, i) if first_found else None
+        # with workers, only this process prints progress, for the whole search
+        own = None if interval is None or workers > 1 else _Progress(interval, ncells, label(i))
+        res, n, d = eng.run(orders, share, own, 1 << i if split else -1)
         return res, n, d, eng.rows if res is OutcomeKind.FOUND else None
 
-    def merge(i, result):
-        nonlocal nodes, depth
-        res, n, d, rows = result
-        if not first_found and limit is not None and nodes + n > limit:
-            # this root's subtree crosses the budget: walk it again on the rest
-            res, n, d = eng.run(None, limit - nodes, None, 1 << i)
-        nodes, depth = nodes + n, max(depth, d)
-        if res is not keep:
-            return res, nodes, depth, rows, i + 1 if first_found else 1
-        if progress is not None:
-            progress.label = label(i + 1)
-        return None
+    if workers == 1:
+        progress = None
+        results = (work(i) for i in range(passes))
+    else:
+        progress = None if interval is None else _Progress(interval, ncells, label(0))
+        results = _forked(k if split else passes, work, keep, workers, progress)
+    nodes = depth = 0
+    with contextlib.closing(results):
+        for i, (res, n, d, rows) in enumerate(results):
+            if split and limit is not None and nodes + n > limit:
+                # this root's subtree crosses the budget: walk it again on the rest
+                res, n, d = eng.run(None, limit - nodes, None, 1 << i)
+            nodes, depth = nodes + n, max(depth, d)
+            if res is not keep:
+                return res, nodes, depth, rows, i + 1 if first_found else 1
+            if progress is not None:
+                progress.label = label(i + 1)
+    return keep, nodes, depth, None, passes
 
-    done = _forked(passes if first_found else k, work, keep, merge, workers, progress)
-    return done or (keep, nodes, depth, None, passes)
 
-
-def _forked(count: int, work, keep: OutcomeKind, merge, workers: int,
-            progress: _Progress | None):
+def _forked(count: int, work, keep: OutcomeKind, workers: int, progress: _Progress | None):
     """Run ``work(i)`` for tasks i = 0 .. count - 1 on forked worker
     processes (at most ``workers``, while this process only coordinates) and
-    pass each result, a (verdict, nodes, max_depth, rows) tuple, to
-    ``merge(i, result)`` in task order.  Returns the first value ``merge`` returns other than None,
-    or None once every task is merged; ``merge`` must return a value for a
-    result whose verdict is not ``keep``.
+    yield each result, a (verdict, nodes, max_depth, rows) tuple, in task
+    order, up to the first whose verdict is not ``keep``.
 
     Each worker holds one end of a duplex pipe.  Tasks go out in order, one
-    to each idle worker.  Once a result's verdict is not ``keep`` no later
-    task goes out, and once ``merge`` returns, the workers still running are
-    killed.  Every worker is reaped before this returns or raises.  A worker
-    that dies without sending a whole result raises RuntimeError: a subtree
-    nobody walked must never become a verdict.  With ``progress``, the
-    progress lines count every finished task."""
+    to each idle worker, and none after a result whose verdict is not
+    ``keep``; a worker left with nothing to do is let go at once.  Closing
+    the generator kills the workers still running, and every worker is
+    reaped before the generator returns, raises or is closed.  A worker that dies without
+    sending a whole result raises RuntimeError: a subtree nobody walked must
+    never become a verdict.  With ``progress``, the progress lines count
+    every finished task."""
     import signal
     from multiprocessing.connection import Pipe, wait
 
@@ -483,8 +481,8 @@ def _forked(count: int, work, keep: OutcomeKind, merge, workers: int,
             child.close()
             pids[conn] = pid
         idle = list(pids)
-        done = {}  # task index -> result, until merged
-        sent = merged = nodes = depth = 0
+        done = {}  # task index -> result, until yielded
+        sent = yielded = nodes = depth = 0
         end = count  # tasks from ``end`` on are not needed
         while True:
             while idle and sent < end:
@@ -500,13 +498,11 @@ def _forked(count: int, work, keep: OutcomeKind, merge, workers: int,
                 for conn in idle:
                     conn.close()
                 idle = []
-            while merged in done:
-                out = merge(merged, done.pop(merged))
-                merged += 1
-                if out is not None:
-                    return out
-            if merged == count:
-                return None
+            while yielded < end and yielded in done:
+                yield done.pop(yielded)
+                yielded += 1
+            if yielded == end:
+                return
             timeout = None if progress is None else max(progress.interval, 0.1)
             for conn in wait(list(running), timeout):
                 try:
@@ -522,15 +518,16 @@ def _forked(count: int, work, keep: OutcomeKind, merge, workers: int,
             if progress is not None:
                 progress.report(nodes, depth)
     finally:
+        # with SIGCHLD ignored the kernel reaps a worker as it exits, so its
+        # pid may be gone for both calls
         for conn in running:
-            os.kill(pids[conn], signal.SIGKILL)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pids[conn], signal.SIGKILL)
         # a worker whose pipe closes reads its end and exits
         for conn, pid in pids.items():
             conn.close()
-            try:
+            with contextlib.suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-            except ChildProcessError:  # already reaped: SIGCHLD is ignored
-                pass
 
 
 def search(config: SearchConfig) -> SearchOutcome:

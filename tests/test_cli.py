@@ -17,7 +17,7 @@ from modclique import (
     verify,
 )
 from modclique.certificate import MAX_FILE_BYTES
-from modclique.cli import main
+from modclique.cli import build_parser, main
 
 from conftest import CERTS_DIR, REPO_ROOT
 
@@ -446,6 +446,10 @@ class TestCensus:
 
 
 class TestUsage:
+    def test_parser_built_once(self):
+        # every main() call of a process parses with the same parser
+        assert build_parser() is build_parser()
+
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -167,7 +167,7 @@ class TestCompose:
                     assert (q[i * m + j] - right.rows[t][j]) // m == left.rows[t][i]
 
     def test_table_size_guard(self):
-        from modclique.constructions import MAX_TABLE_CELLS, check_table_size
+        from modclique.certificate import MAX_TABLE_CELLS, check_table_size
 
         check_table_size(4, MAX_TABLE_CELLS // 4)
         with pytest.raises(ValueError, match="cap"):

@@ -671,13 +671,20 @@ class TestWorkers:
                 os._exit(3)
             send(self, obj)
 
-        for owner, name, dying in ((_search_module._Engine, "run", run_then_die),
-                                   (Connection, "send", send_then_die)):
-            with monkeypatch.context() as patch:
-                patch.setattr(owner, name, dying)
-                with pytest.raises(RuntimeError, match="without a result"):
-                    run(9, 4, workers=2)
-            _no_child_left()
+        # with SIGCHLD ignored the kernel reaps a dead worker before this
+        # process kills and waits for it
+        for sigchld in (signal.SIG_DFL, signal.SIG_IGN):
+            for owner, name, dying in ((_search_module._Engine, "run", run_then_die),
+                                       (Connection, "send", send_then_die)):
+                previous = signal.signal(signal.SIGCHLD, sigchld)
+                try:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(owner, name, dying)
+                        with pytest.raises(RuntimeError, match="without a result"):
+                            run(9, 4, workers=2)
+                finally:
+                    signal.signal(signal.SIGCHLD, previous)
+                _no_child_left()
 
     def test_coordinator_progress_lines(self, capsys):
         outcome = run(9, 4, workers=2, progress_interval=0.0)
@@ -687,3 +694,19 @@ class TestWorkers:
         assert all(pattern.fullmatch(line) for line in lines)
         # the last line comes from the coordinator once every task is in
         assert lines[-1].startswith("progress: nodes=84703 depth=13/16")
+
+    def test_coordinator_progress_lines_first_found(self, capsys):
+        outcome = run(15, 4, workers=2, mode=SearchMode.FIRST_FOUND, node_limit=2_000_000,
+                      restarts=40, rng_seed=0, progress_interval=0.0)
+        assert (outcome.stats.nodes, outcome.stats.restarts_used) == K15_FIRST_FOUND[0]
+        lines = capsys.readouterr().err.splitlines()
+        pattern = re.compile(r"progress restart=(\d+): nodes=(\d+) depth=(\d+)/28 elapsed=\S+s")
+        matches = [pattern.fullmatch(line) for line in lines]
+        assert matches and all(matches)
+        # each line names the first restart not yet merged; its nodes count
+        # every finished restart, speculative later ones too, so the last
+        # line need not equal stats.nodes
+        restarts = [int(m[1]) for m in matches]
+        nodes = [int(m[2]) for m in matches]
+        assert restarts == sorted(restarts) and restarts[-1] < outcome.stats.restarts_used
+        assert nodes == sorted(nodes)

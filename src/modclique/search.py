@@ -200,9 +200,9 @@ class _Progress:
 class _Engine:
     """Backtracking state for one search: one mutable grid whose first rows
     are the fixed ones, and per-cell tables built once.  Every pass of the
-    search is one or more calls of ``run``, the only code that opens a cell,
-    assigns a value and undoes one.  Column 0 is pre-assigned: every row
-    vanishes there, so every pair starts with difference 0 consumed.
+    search is one or more calls of ``run``, the only code that assigns a
+    value or undoes one.  Column 0 is pre-assigned: every row vanishes
+    there, so every pair starts with difference 0 consumed.
 
     A pair's used differences are kept doubled, as ``used | used << k``.
     Value v at a cell is blocked by the pair with earlier row src exactly
@@ -210,28 +210,81 @@ class _Engine:
     ``used2 >> (k - src[j])`` is that bit of ``used`` for every v < k: for
     v >= src[j] it comes from the upper copy, for v < src[j] from the lower
     one, which is the wrap-around.  So a cell's allowed set is one shift and
-    OR per pair, with no rotation and no branch on src[j]."""
+    OR per pair, with no rotation and no branch on src[j].  Rows 0 and 1
+    are the zero and identity functions, so their pairs are written inline
+    (src[j] is 0 and j) and the pair lists hold only rows 2.. .
+
+    The engine looks one cell ahead.  Of the next cell's allowed set, the
+    part that cannot depend on this cell's value v is computed once, when
+    this cell opens, from the next cell's pairs other than the one with this
+    cell's row.  The rest is one doubled mask shifted by v, ``link >> (k -
+    v)``, by where the next cell sits:
+
+    - the same column, row t + 1: the pair (t, t + 1), or at column 1 the
+      lex rule's ``(2 << k) - 1``, as ``((2 << k) - 1) >> (k - v)`` is
+      ``(2 << v) - 1`` and the pair then holds only column 0's difference;
+    - the next column, with one free row: each fixed row src then blocks
+      v + (src[j + 1] - src[j]) mod k, so the mask is the constant with
+      every such difference;
+    - the next column, another row: 0, as that cell, in the first free row,
+      pairs only with fixed rows.
+
+    Each cell is one tuple: its row, column, the slot of its pair with row
+    0 (the pair with row 1 is the next slot) and its pairs with rows 2..;
+    then the same three for the next cell, less the pair with this cell's
+    row, and the slot of the link mask.  The lists are shared per row, and
+    the constant link masks are kept in ``masks``, whose slots follow the
+    pairs'."""
 
     def __init__(self, k: int, size: int, fixed: Sequence[Sequence[int]]):
         self.k = k
         base = len(fixed)
-        self.rows = list(fixed) + [[0] * k for _ in range(size - base)]
-        # free cells in column-major order
-        cells = [(t, j) for j in range(1, k) for t in range(base, size)]
-        # row pair (s, t), s < t, keeps its used differences in mask slot
-        # t(t-1)/2 + s; per unfixed row t, its (earlier row, slot) pairs
-        row_pairs = {t: [(self.rows[s], t * (t - 1) // 2 + s) for s in range(t)]
-                     for t in range(base, size)}
-        # per cell: its row, column and pairs, and the row above when the
-        # column-1 lex rule applies there (rows 2.. sorted by column 1)
-        self.cell_row = [self.rows[t] for t, _ in cells]
-        self.cell_col = [j for _, j in cells]
-        self.cell_pairs = [row_pairs[t] for t, _ in cells]
-        self.cell_lex = [self.rows[t - 1] if j == 1 and t >= 3 else None for t, j in cells]
-        # the root cell (row base, column 1) has one more pair, against row
-        # 0 (0 at column 1, so no shift) in the slot after the last row
-        # pair's: ``run`` puts there the root values its call leaves out
-        self.cell_pairs[0] = row_pairs[base] + [(self.rows[0], size * (size - 1) // 2)]
+        rows = self.rows = list(fixed) + [[0] * k for _ in range(size - base)]
+        # bit2[d] marks difference d in both halves of a doubled mask; an
+        # index d - k .. -1 wraps to d mod k
+        bit2 = self.bit2 = [(1 | 1 << k) << d for d in range(k)]
+        # the root cell (row base, column 1) opens on fresh masks, where each
+        # earlier row blocks its own column-1 value.  None is above row
+        # base - 1's, so the blocked set is that value and all below: the
+        # lex rule's, or at base 2 the zero and identity rows' 0 and 1.
+        self.root = -(2 << rows[base - 1][1])
+
+        def slot(s, t):
+            # row pair (s, t), s < t, keeps its used differences here
+            return t * (t - 1) // 2 + s
+
+        def pairs(t, stop):
+            # (row s, slot) of row t's pairs with rows 2 <= s < stop
+            return [(rows[s], slot(s, t)) for s in range(2, stop)]
+
+        own = {t: pairs(t, t) for t in range(base, size)}
+        above = {t: pairs(t + 1, t) for t in range(base, size - 1)}
+        npairs = size * (size - 1) // 2
+        # slots npairs and npairs + 1 hold 0, npairs + 2 the lex rule
+        zero, lex = npairs, npairs + 2
+        self.masks = [0, 0, (2 << k) - 1]
+        self.cells = []
+        for j in range(1, k):
+            for t in range(base, size):
+                if t + 1 < size:
+                    # next, row t + 1 in the same column
+                    look = slot(0, t + 1), j, above[t], lex if j == 1 else slot(t, t + 1)
+                elif j + 1 < k:
+                    # next, row base in the next column: a constant link
+                    # with one free row, else none
+                    link = zero
+                    if t == base:
+                        link = npairs + len(self.masks)
+                        mask = 0
+                        for src in rows[:t]:
+                            mask |= bit2[(src[j + 1] - src[j]) % k]
+                        self.masks.append(mask)
+                    look = slot(0, base), j + 1, own[base], link
+                else:
+                    # the last cell: a node there is a witness, and its
+                    # lookahead, on the zero slots, is the full set
+                    look = zero, 0, [], zero
+                self.cells.append((rows[t], j, slot(0, t), own[t], *look))
 
     def run(self, orders: list[list[int]] | None, budget: int | None,
             progress: _Progress | None = None, roots: int = -1
@@ -246,22 +299,21 @@ class _Engine:
         ``orders`` (one value order per cell), in the cell's order.  A cell's
         untried values are a bitmask in both modes: the lowest bit is tried
         next or, with ``orders``, the bit of least rank in the cell's order,
-        read from the order's inverse.  Progress lines go to ``progress``,
-        one per 256 nodes at most.  Returns (verdict, nodes, max_depth), the
-        verdict FOUND, EXHAUSTED_NONE or LIMIT_REACHED, with the grid as it
-        stands, so a witness stays in ``rows``.  Free cells keep an earlier
-        call's values until assigned, but no cell is read before this call
-        assigns it."""
-        k, size = self.k, len(self.rows)
-        cell_row, cell_col, cell_pairs, cell_lex = (
-            self.cell_row, self.cell_col, self.cell_pairs, self.cell_lex)
-        ncells = len(cell_col)
+        read from the order's inverse.  A value whose next cell would have
+        no allowed value is counted and dropped without being assigned;
+        any other is assigned, and the next cell opens on the allowed set
+        its lookahead gave.  Progress lines go to ``progress``, one per 256
+        nodes at most.  Returns (verdict, nodes, max_depth), the verdict
+        FOUND, EXHAUSTED_NONE or LIMIT_REACHED, with the grid as it stands,
+        so a witness stays in ``rows``.  Free cells keep an earlier call's
+        values until assigned, but no cell is read before this call assigns
+        it."""
+        k, cells, bit2 = self.k, self.cells, self.bit2
+        ncells = len(cells)
         full = (1 << k) - 1
-        # bit2[d] marks difference d in both halves of a doubled mask; an
-        # index d - k .. -1 wraps to d mod k
-        bit2 = [(1 | 1 << k) << d for d in range(k)]
-        skip = full & ~roots
-        used2 = [bit2[0]] * (size * (size - 1) // 2) + [skip | skip << k]
+        size = len(self.rows)
+        # the pairs' masks, each with column 0's difference, then ``masks``
+        used2 = [bit2[0]] * (size * (size - 1) // 2) + self.masks
         # first-found: per cell, rank[v] is v's position in the cell's order,
         # built when the cell first picks among two or more values.  Each
         # costs O(k), so a short pass at large k builds only the few it uses.
@@ -271,67 +323,80 @@ class _Engine:
         stop = sys.maxsize if budget is None else budget + 1
         check = stop if progress is None else min(stop, 256)
         nodes = max_depth = 0
-        # per depth, the open cell's untried values as a bitmask; its
-        # assigned value is read back from the grid
+        # per depth, the open cell's untried values and the fixed part of
+        # the next cell's allowed set, as bitmasks; its assigned value is
+        # read back from the grid
         untried = [0] * ncells
+        ahead = [0] * ncells
         ci = 0
+        rest = self.root & roots & full
         while True:
-            # open cell ci
-            j = cell_col[ci]
-            blocked = 0
-            for src, slot in cell_pairs[ci]:
-                blocked |= used2[slot] >> (k - src[j])
-            lex = cell_lex[ci]
-            if lex is not None:
-                blocked |= (2 << lex[1]) - 1
-            rest = ~blocked & full
-            # back up past cells with no untried value, undoing their values
-            while not rest:
-                ci -= 1
-                if ci < 0:
-                    return OutcomeKind.EXHAUSTED_NONE, nodes, max_depth
-                j = cell_col[ci]
-                v = cell_row[ci][j]
-                for src, slot in cell_pairs[ci]:
-                    used2[slot] ^= bit2[v - src[j]]
-                rest = untried[ci]
-            # assign the next untried value: the lowest, or the only one
-            if ranks is None or not rest & (rest - 1):
-                low = rest & -rest
-                untried[ci] = rest ^ low
-                v = low.bit_length() - 1
-            else:
-                # first-found: the untried value of least rank
-                rank = ranks[ci]
-                if rank is None:
-                    rank = ranks[ci] = [0] * k
-                    for r, w in enumerate(orders[ci]):
-                        rank[w] = r
-                best = k
-                bits = rest
-                while bits:
-                    low = bits & -bits
-                    r = rank[low.bit_length() - 1]
-                    if r < best:
-                        best = r
-                    bits ^= low
-                v = orders[ci][best]
-                untried[ci] = rest ^ 1 << v
-            nodes += 1
-            if nodes >= check:
-                if nodes >= stop:
-                    return OutcomeKind.LIMIT_REACHED, nodes, max_depth
-                progress.report(nodes, max_depth)
-                check = min(stop, nodes + 256)
-            if ci >= max_depth:
-                max_depth = ci + 1
-            # j is cell ci's column on both paths above
-            cell_row[ci][j] = v
-            for src, slot in cell_pairs[ci]:
+            # open cell ci on its allowed set, rest: the next cell's fixed
+            # part, and the link mask its values shift
+            row, j, s0, pairs, ls, lj, lpairs, link = cells[ci]
+            blocked = used2[ls] >> k | used2[ls + 1] >> (k - lj)
+            for src, slot in lpairs:
+                blocked |= used2[slot] >> (k - src[lj])
+            fixed = ahead[ci] = ~blocked & full
+            linked = used2[link]
+            while True:
+                # back up past cells with no untried value, undoing their values
+                while not rest:
+                    ci -= 1
+                    if ci < 0:
+                        return OutcomeKind.EXHAUSTED_NONE, nodes, max_depth
+                    row, j, s0, pairs, ls, lj, lpairs, link = cells[ci]
+                    v = row[j]
+                    used2[s0] ^= bit2[v]
+                    used2[s0 + 1] ^= bit2[v - j]
+                    for src, slot in pairs:
+                        used2[slot] ^= bit2[v - src[j]]
+                    rest = untried[ci]
+                    fixed, linked = ahead[ci], used2[link]
+                # take the next untried value: the lowest, or the only one
+                if ranks is None or not rest & (rest - 1):
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                else:
+                    # first-found: the untried value of least rank
+                    rank = ranks[ci]
+                    if rank is None:
+                        rank = ranks[ci] = [0] * k
+                        for r, w in enumerate(orders[ci]):
+                            rank[w] = r
+                    best = k
+                    bits = rest
+                    while bits:
+                        low = bits & -bits
+                        r = rank[low.bit_length() - 1]
+                        if r < best:
+                            best = r
+                        bits ^= low
+                    v = orders[ci][best]
+                    rest ^= 1 << v
+                nodes += 1
+                if nodes >= check:
+                    if nodes >= stop:
+                        return OutcomeKind.LIMIT_REACHED, nodes, max_depth
+                    progress.report(nodes, max_depth)
+                    check = min(stop, nodes + 256)
+                if ci >= max_depth:
+                    max_depth = ci + 1
+                # the next cell's allowed set with v here
+                nxt = fixed & ~(linked >> (k - v))
+                if nxt:
+                    break
+            untried[ci] = rest
+            row[j] = v
+            used2[s0] |= bit2[v]
+            used2[s0 + 1] |= bit2[v - j]
+            for src, slot in pairs:
                 used2[slot] |= bit2[v - src[j]]
             ci += 1
             if ci == ncells:
                 return OutcomeKind.FOUND, nodes, max_depth
+            rest = nxt
 
 
 def column_candidates(
@@ -407,7 +472,7 @@ def _passes(eng: _Engine, config: SearchConfig, base: int, workers: int):
     share = None if limit is None else limit // passes
     # a pass's verdict that lets the next pass or task run
     keep = OutcomeKind.LIMIT_REACHED if first_found else OutcomeKind.EXHAUSTED_NONE
-    interval, ncells = config.progress_interval, len(eng.cell_col)
+    interval, ncells = config.progress_interval, len(eng.cells)
     # forked, an exhaustive pass runs as one task per root value
     split = workers > 1 and not first_found
 

@@ -2,6 +2,7 @@ import os
 import re
 import signal
 import sys
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from modclique import (
     verify,
     zero_function,
 )
-from modclique.search import _fixed_rows, _restart_orders
+from modclique.search import _Engine, _fixed_rows, _restart_orders
 
 from conftest import OMEGA
 
@@ -194,6 +195,125 @@ class TestMatchesReferenceDFS:
             k, size, mode=SearchMode.FIRST_FOUND,
             node_limit=node_limit, restarts=restarts, rng_seed=rng_seed,
         )
+
+
+def reference_trace(k, size, seeds=(), orders=None, limit=None):
+    """One pass of the reference DFS with no budget, stopped after ``limit``
+    + 1 nodes if given: ``peak[n]``, the deepest node among the first n, for
+    every n up to the nodes walked, and the witness rows or None."""
+    base = 2 + len(seeds)
+    cells = [(t, j) for j in range(1, k) for t in range(base, size)]
+    rows = [[0] * k, list(range(k)), *map(list, seeds)]
+    rows += [[0] * k for _ in range(size - base)]
+    peak = [0]
+
+    def dfs(ci):
+        if ci == len(cells):
+            return True
+        t, j = cells[ci]
+        allowed = column_candidates(k, rows, t, j)
+        if j == 1 and t >= 3:
+            allowed = {v for v in allowed if v > rows[t - 1][1]}
+        for v in range(k) if orders is None else orders[ci]:
+            if v in allowed:
+                peak.append(max(peak[-1], ci + 1))
+                if limit is not None and len(peak) > limit + 1:
+                    raise _Limit
+                rows[t][j] = v
+                if dfs(ci + 1):
+                    return True
+        return False
+
+    try:
+        found = dfs(0)
+    except _Limit:
+        found = False
+    return peak, rows if found else None
+
+
+def expected_under_budget(traces, budget, seeded=False):
+    """What ``search`` returns, as ``reference_search`` does, for passes
+    whose reference traces are ``traces``, each with ``budget`` nodes: a
+    pass stops at the node past its budget and counts it."""
+    nodes = depth = 0
+    for i, (peak, witness) in enumerate(traces):
+        walked = len(peak) - 1
+        if budget is not None and budget < walked:
+            nodes, depth = nodes + budget + 1, max(depth, peak[budget])
+            continue
+        nodes, depth = nodes + walked, max(depth, peak[walked])
+        if witness is not None:
+            return OutcomeKind.FOUND, nodes, depth, i + 1, witness
+        kind = OutcomeKind.EXHAUSTED_NONE_UNDER_SEED if seeded else OutcomeKind.EXHAUSTED_NONE
+        return kind, nodes, depth, i + 1, None
+    return OutcomeKind.LIMIT_REACHED, nodes, depth, len(traces), None
+
+
+class TestBudgetSweep:
+    """LIMIT at every budget agrees with the reference DFS, including
+    budgets that run out on a value the engine drops by looking ahead."""
+
+    def sweep(self, k, size, limits, seeds=()):
+        traces = [reference_trace(k, size, seeds)]
+        for limit in limits:
+            outcome = run(k, size, seed_rows=seeds or None, node_limit=limit)
+            assert TestWorkers.summary(outcome) == expected_under_budget(traces, limit, bool(seeds)), limit
+
+    def test_every_budget_k8(self):
+        self.sweep(8, 3, range(1, 463))
+
+    def test_strided_budgets_k9(self):
+        self.sweep(9, 4, [*range(1, 84_703, 997), 84_702, 84_703])
+
+    def test_seeded(self):
+        self.sweep(15, 4, [1, 2, 100, 1_000, 2_500, 4_769, 4_770], K15[2:3].tolist())
+
+    @pytest.mark.parametrize("rng_seed", [0, 3])
+    def test_first_found_short_budgets(self, rng_seed):
+        restarts, most = 3, 1_200
+        traces = [reference_trace(15, 4, orders=_restart_orders(15, 4, 2, rng_seed, i), limit=most)
+                  for i in range(restarts)]
+        for limit in [*range(3, 60), *range(60, restarts * most, 73)]:
+            outcome = run(15, 4, mode=SearchMode.FIRST_FOUND, node_limit=limit,
+                          restarts=restarts, rng_seed=rng_seed)
+            assert TestWorkers.summary(outcome) == expected_under_budget(traces, limit // restarts), limit
+
+    def test_progress_stream(self, capsys):
+        # one line per 256 nodes at interval 0, each with the depth reached
+        # before that node
+        peak, _ = reference_trace(9, 4)
+        run(9, 4, progress_interval=0.0)
+        pattern = re.compile(r"progress: nodes=(\d+) depth=(\d+)/16 elapsed=\S+s")
+        pairs = [tuple(map(int, pattern.fullmatch(line).groups()))
+                 for line in capsys.readouterr().err.splitlines()]
+        assert pairs == [(n, peak[n - 1]) for n in range(256, len(peak), 256)]
+
+
+class TestLargeK:
+    """The engine's per-cell state is a few ints and shared lists: building
+    it at k = 1021 stays small and a short run stays fast."""
+
+    @pytest.mark.parametrize("size,seeds", [(3, None), (4, [[2 * x % 1021 for x in range(1021)]])])
+    def test_engine_memory(self, size, seeds):
+        import tracemalloc
+
+        fixed = _fixed_rows(SearchConfig(k=1021, target_size=size, seed_rows=seeds))
+        rows = fixed.table.tolist()
+        tracemalloc.start()
+        try:
+            _Engine(1021, size, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_short_run_is_fast(self, capsys):
+        from modclique.cli import main
+
+        start = time.perf_counter()
+        assert main(["search", "-k", "1021", "-s", "3", "--node-limit", "2000"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "nodes=2001" in capsys.readouterr().out
 
 
 class TestVerdictsAgainstOracle:

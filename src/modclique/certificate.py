@@ -15,18 +15,25 @@ arrive in two states:
   instance is proof the rows really form a clique.  Downstream operations
   (composition, the bound registry, normalization) only accept this type.
 
-Verification is one pass with two exact proofs.  It fits the scalar form
+Verification is one pass with two exact proofs, run as whole-table numpy
+passes over row blocks of at most about 2^14 cells.  It fits the scalar form
 f_i = f_b + a_i*g, g a bijection, on a basis pair of the first three rows
 (the prime rows j -> i*j mod k and their products have this form) and marks
-the rows that fit it exactly, in O(m*k) time and O(m + k) extra memory.  Two
-fitted rows differ by (a_t - a_s)*g, a bijection iff a_t - a_s is a unit
-mod k.  Every pair through a row that does not fit goes to the O(k)-per-pair
-kernel, so a scalar table with a few corrupted rows costs O(m*k) per bad row
-rather than O(m^2 k), and a table of no scalar form is checked pair by pair.
-Either way a violation is reported, in (t, s) order, with the first
-collision of its difference.  A table of more than MAX_VERIFIED_ROWS rows is
-refused with a ValueError before any of this work, and ``read_certificate``
-refuses a file of such a table with its path in the message.
+the rows that fit it exactly, in O(m*k) time.  Two fitted rows differ by
+(a_t - a_s)*g, a bijection iff a_t - a_s is a unit mod k, that is iff a_s and
+a_t differ mod every prime p of k: one bincount of the residues per prime
+clears all fitted pairs in O(m*omega(k) + k), and only residues that collide
+send the fitted rows to a blocked pair matrix.  Each row that does not fit
+goes to the O(k)-per-pair kernel once, against every row before it and every
+fitted row after it, so a scalar table with a few corrupted rows costs
+O(m*k) per bad row rather than O(m^2 k), and a table of no scalar form is
+checked pair by pair.  The violating pairs are sorted into (t, s) order and
+each gets the first collision of its difference from one blocked pass.
+Beyond the table and the report, memory stays O(m + k) plus one block
+(about 0.4 MB for a 997-row prime table, 0.8 MB with one bad cell).  A table
+of more than MAX_VERIFIED_ROWS rows is refused with a ValueError before any
+of this work, and ``read_certificate`` refuses a file of such a table with
+its path in the message.
 
 The file format is plain text: optional '#' comment lines, a "k m" header
 line, then m rows of k residues.  Canonical output uses single spaces, one
@@ -42,12 +49,14 @@ rows they extend.
 from __future__ import annotations
 
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -55,7 +64,7 @@ from .core import ModFunction, validate_modulus
 
 BUILTIN_MODULI = (15, 21, 27)
 # Largest table (rows x modulus) the package builds: 8 MiB of int64 cells.
-# A scalar-multiple table of that size verifies in O(m k), about 0.03 s; any
+# A scalar-multiple table of that size verifies in O(m k), about 0.006 s; any
 # other table takes the O(m^2 k) pairwise check, still only seconds at this
 # size.  It admits every prime modulus up to 1021 and bounds k, hence every
 # value, by 2^20, far from int64 overflow in composition and verification.
@@ -64,6 +73,9 @@ MAX_TABLE_CELLS = 1 << 20
 # as m x m, kept within MAX_TABLE_CELLS as search keeps s x s.  The tallest
 # table the package builds, prime_construction(1021), has 1021 rows.
 MAX_VERIFIED_ROWS = math.isqrt(MAX_TABLE_CELLS)
+# Cells in one temporary block of the verification passes, so their memory
+# beyond the table stays bounded at every table size.
+_BLOCK_CELLS = 1 << 14
 # the largest file the package writes, 2^20 cells of at most 7 characters
 # each, is about 7 MiB
 MAX_FILE_BYTES = 16 << 20
@@ -191,9 +203,10 @@ class UncheckedCertificate(_Certificate):
 class CliqueCertificate(_Certificate):
     """A verified clique in G_k.  Construction proves every row pair adjacent
     (in O(m k) for a scalar-multiple table, plus O(m k) for each row that
-    breaks the scalar form) and refuses any certificate that is not actually
-    a clique, raising a CertificateError that carries the report.  A table of
-    more than MAX_VERIFIED_ROWS rows raises a plain ValueError unverified."""
+    breaks the scalar form, with O(m + k) memory and bounded blocks beyond
+    the table) and refuses any certificate that is not actually a clique,
+    raising a CertificateError that carries the report.  A table of more
+    than MAX_VERIFIED_ROWS rows raises a plain ValueError unverified."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -212,14 +225,10 @@ class CliqueCertificate(_Certificate):
 CertificateLike = Union[UncheckedCertificate, CliqueCertificate]
 
 
-def _collision_witness(diff_values: Sequence[int], k: int) -> tuple[int, int, int]:
-    """First (a, b, value) with diff[a] == diff[b] == value, a < b."""
-    first_at = [-1] * k
-    for j, d in enumerate(diff_values):
-        if first_at[d] >= 0:
-            return first_at[d], j, d
-        first_at[d] = j
-    raise AssertionError("no collision in a non-bijective difference")
+def _block_rows(width: int, n: int) -> int:
+    """Rows of width cells, of n rows in all, in one block of at most
+    _BLOCK_CELLS cells (one row at least)."""
+    return max(1, min(n, _BLOCK_CELLS // width))
 
 
 def _scalar_fit(k: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +236,8 @@ def _scalar_fit(k: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exactly, for g = f_c - f_b and the first row pair (b, c) of (0, 1),
     (0, 2), (1, 2) whose difference g is a bijection; one bad row spoils at
     most two of those pairs.  No row fits when m < 3 or no pair qualifies.
-    Allocates O(m + k) beyond the table."""
+    Rows are compared a block at a time, so this allocates O(m + k) and one
+    block beyond the table."""
     m = len(table)
     a = np.zeros(m, dtype=np.int64)
     fitted = np.zeros(m, dtype=bool)
@@ -240,27 +250,112 @@ def _scalar_fit(k: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fb = table[b]
     x = int(np.argmax(g == 1))  # g^-1(1)
     a[:] = (table[:, x] - fb[x]) % k
-    for i in range(m):
-        # row by row: an m x k residual would double the table's memory
-        fitted[i] = not ((table[i] - fb - a[i] * g) % k).any()
+    step = _block_rows(k, m)
+    for i in range(0, m, step):
+        fit = a[i : i + step, None] * g
+        fit += fb
+        fit %= k
+        fitted[i : i + step] = (fit == table[i : i + step]).all(axis=1)
     return a, fitted
 
 
-def _not_bijective(k: int, table: np.ndarray, t: int, rows) -> np.ndarray:
-    """Mask over table[rows], rows before t, of those whose difference with
-    row t is not a bijection."""
-    diffs = table[t] - table[rows]
-    n = len(diffs)
-    # Row t minus row s has entries in (-k, k); shifting the i-th block by
-    # 2k*i + k drops every difference into the half-open band
+def _prime_factors(k: int) -> list[int]:
+    """The distinct primes dividing k, by trial division: O(sqrt(k)) steps,
+    within the O(k) cost of one row."""
+    primes = []
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        primes.append(k)
+    return primes
+
+
+def _bad_fitted_pairs(k: int, a: np.ndarray, fitted: np.ndarray) -> list[np.ndarray]:
+    """Row arrays [s, t], s < t, in (t, s) order, of the fitted pairs whose
+    a_t - a_s is not a unit mod k, that is a_s = a_t (mod p) for some prime
+    p dividing k.  Coefficients distinct mod every such p (one bincount
+    each, O(m + k)) prove there are none; the pair matrix of the fitted rows
+    is built, a block of rows at a time, only when some residues collide."""
+    rows = np.flatnonzero(fitted)
+    if len(rows) < 2:
+        return [rows[:0], rows[:0]]
+    coef = a[rows]
+    non_unit = np.zeros(k, dtype=bool)
+    for p in _prime_factors(k):
+        if np.bincount(coef % p, minlength=p).max() > 1:
+            non_unit[::p] = True  # only primes whose residues collide matter
+    if not non_unit.any():
+        return [rows[:0], rows[:0]]
+    n = len(rows)
+    earlier = np.arange(n)
+    s, t = [], []
+    step = _block_rows(n, n)
+    for i in range(0, n, step):
+        # a_t - a_s lies in (-k, k); a negative index wraps to its residue
+        bad = non_unit[coef[i : i + step, None] - coef]
+        bad &= earlier < earlier[i : i + step, None]
+        ti, si = np.nonzero(bad)  # row-major, so in (t, s) order
+        s.append(rows[si])
+        t.append(rows[ti + i])
+    return [np.concatenate(s), np.concatenate(t)]
+
+
+def _not_bijective(k: int, table: np.ndarray, t: int, rows: np.ndarray) -> np.ndarray:
+    """Mask over table[rows], increasing rows other than t, of those whose
+    difference with row t is not a bijection, decided a block of rows at a
+    time."""
+    step = _block_rows(2 * k, len(rows))
+    # Row t minus row s has entries in (-k, k); shifting the i-th row of a
+    # block by 2k*i + k drops every difference into the half-open band
     # (2k*i, 2k*(i+1)), residue r landing at in-band offset r or r + k.
     # k entries of a difference row cover all k residue classes iff the
     # difference is a permutation.
-    diffs += np.arange(n, dtype=diffs.dtype)[:, None] * (2 * k) + k
-    hit = np.zeros(2 * k * n, dtype=bool)
-    hit[diffs.ravel()] = True
-    bands = hit.reshape(n, 2 * k)
-    return ~(bands[:, :k] | bands[:, k:]).all(axis=1)
+    shifted = table[t] + (np.arange(step)[:, None] * (2 * k) + k)
+    bad = np.empty(len(rows), dtype=bool)
+    for i in range(0, len(rows), step):
+        block = rows[i : i + step]
+        n, lo = len(block), block[0]
+        # a run of consecutive rows is read as a view, not gathered
+        others = table[lo : lo + n] if block[-1] - lo == n - 1 else table[block]
+        diffs = shifted[:n] - others
+        hit = np.zeros((n, 2 * k), dtype=bool)
+        hit.ravel()[diffs.ravel()] = True
+        hit[:, :k] |= hit[:, k:]
+        bad[i : i + n] = ~hit[:, :k].all(axis=1)
+    return bad
+
+
+def _collision_witnesses(k: int, table: np.ndarray, s: np.ndarray, t: np.ndarray):
+    """Arrays (a, b, value), one entry per pair (s, t) whose difference is
+    not a bijection: b is the least point whose value row t - row s took
+    already, at the point a < b.  A block of pairs at a time scatters every
+    value's first point (np.minimum.at, so repeated values resolve by
+    definition, not by write order) and takes b as the first column whose
+    value first occurred earlier."""
+    witnesses = np.empty((3, len(s)), dtype=np.int64)
+    step = _block_rows(k, len(s))
+    cols = np.arange(k)
+    points = np.tile(cols, step)
+    for i in range(0, len(s), step):
+        cells = table[t[i : i + step]]
+        cells -= table[s[i : i + step]]
+        cells %= k
+        n = len(cells)
+        # cell (r, j) holding value v becomes r*k + v, the slot of v in first
+        offsets = np.arange(0, n * k, k)
+        cells += offsets[:, None]
+        first = np.full(n * k, k)
+        np.minimum.at(first, cells.ravel(), points[: n * k])
+        first_at = first[cells]
+        b = (first_at < cols).argmax(axis=1)
+        r = np.arange(n)
+        witnesses[:, i : i + n] = first_at[r, b], b, cells[r, b] - offsets
+    return witnesses
 
 
 def _check_verified_rows(m: int):
@@ -275,31 +370,36 @@ def _check_verified_rows(m: int):
 
 def _verification_report(k: int, table: np.ndarray) -> VerificationReport:
     """Every non-adjacent row pair (s, t), s < t, in (t, s) order, each with
-    one collision witness.  Two rows that fit the scalar form differ by
-    (a_t - a_s)*g, a bijection iff a_t - a_s is a unit mod k, so only pairs
-    through a row that does not fit go to the pairwise kernel: O(m k) for a
-    scalar-multiple table plus O(m k) per row that breaks the form.  A table
-    of more than MAX_VERIFIED_ROWS rows raises a ValueError (not a
-    CertificateError: nothing was verified) before any pair work."""
+    its first collision witness.  Two rows that fit the scalar form differ
+    by (a_t - a_s)*g, a bijection iff a_t - a_s is a unit mod k; the
+    coefficients' residues mod the primes of k decide every fitted pair at
+    once, in O(m*omega(k) + k) when they do not collide.  Each row r that
+    does not fit goes to the pairwise kernel once, against every row before
+    r and every fitted row after it: O(m k) for a scalar-multiple table plus
+    O(m k) per row that breaks the form.  The bad pairs are then sorted and
+    their witnesses found in one blocked pass.  Beyond the table and the
+    report this takes O(m + k) memory and blocks of about _BLOCK_CELLS
+    cells.  A table of more than MAX_VERIFIED_ROWS rows raises a ValueError
+    (not a CertificateError: nothing was verified) before any pair work."""
     m = len(table)
     _check_verified_rows(m)
     a, fitted = _scalar_fit(k, table)
-    non_unit = np.gcd(np.arange(k), k) != 1
-    loose = np.flatnonzero(~fitted)
-    loose_before = np.searchsorted(loose, np.arange(m)).tolist()
+    pairs = [_bad_fitted_pairs(k, a, fitted)]
+    fit_rows = np.flatnonzero(fitted)
+    for r in np.flatnonzero(~fitted).tolist():
+        rows = np.concatenate((np.arange(r), fit_rows[np.searchsorted(fit_rows, r) :]))
+        bad = rows[_not_bijective(k, table, r, rows)]
+        pairs.append([np.minimum(bad, r), np.maximum(bad, r)])
+    s, t = np.concatenate(pairs, axis=1)
+    if not len(s):
+        return VerificationReport(k, m, ())
+    order = np.lexsort((s, t))
+    s, t = s[order], t[order]
+    columns = (s, t, *_collision_witnesses(k, table, s, t))
     violations: list[PairViolation] = []
-    for t in range(1, m):
-        if fitted[t]:
-            # a_t - a_s lies in (-k, k); a negative index wraps to its residue
-            bad = non_unit[a[t] - a[:t]]
-            rest = loose[: loose_before[t]]  # rows s < t that do not fit
-            if len(rest):
-                bad[rest] = _not_bijective(k, table, t, rest)
-        else:
-            bad = _not_bijective(k, table, t, slice(0, t))
-        for s in np.flatnonzero(bad).tolist():
-            pa, pb, d = _collision_witness(((table[t] - table[s]) % k).tolist(), k)
-            violations.append(PairViolation(s, t, pa, pb, d))
+    for i in range(0, len(s), _BLOCK_CELLS):
+        # a block of Python ints at a time, not five lists of every pair
+        violations.extend(map(PairViolation, *(c[i : i + _BLOCK_CELLS].tolist() for c in columns)))
     return VerificationReport(k, m, tuple(violations))
 
 
@@ -479,16 +579,35 @@ def parse(text: str) -> UncheckedCertificate:
     return UncheckedCertificate(k, _parse_body(body, k))
 
 
+def _read_capped(fh) -> bytes:
+    """All of the binary file fh, or a ValueError once it passes
+    MAX_FILE_BYTES.  A regular file whose fstat size is over the cap is
+    refused unread; any other file is read in pieces of that size plus one
+    byte, at least 64 KiB, up to the first short read, which a buffered read
+    returns only at end of file.  A regular file that does not grow is one
+    piece, no read reserves the whole cap, and at most the cap plus one byte
+    is read."""
+    st = os.fstat(fh.fileno())
+    chunks, size = [], 0
+    if not (stat.S_ISREG(st.st_mode) and st.st_size > MAX_FILE_BYTES):
+        piece = max(st.st_size + 1, 1 << 16)
+        while size <= MAX_FILE_BYTES:
+            want = min(piece, MAX_FILE_BYTES + 1 - size)
+            chunks.append(fh.read(want))
+            size += len(chunks[-1])
+            if len(chunks[-1]) < want:
+                return b"".join(chunks)  # one piece is returned, not copied
+    raise ValueError(f"file is over the cap of {MAX_FILE_BYTES} bytes")
+
+
 def read_certificate(path: str | Path) -> UncheckedCertificate:
     """Parse a certificate file of at most MAX_FILE_BYTES bytes and at most
     MAX_VERIFIED_ROWS rows.  Every ValueError -- oversized, undecodable,
-    malformed or too tall input -- names the path; only the cap plus one
+    malformed or too tall input -- names the path; at most the cap plus one
     byte is ever read."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read(MAX_FILE_BYTES + 1)
-        if len(data) > MAX_FILE_BYTES:
-            raise ValueError(f"file is over the cap of {MAX_FILE_BYTES} bytes")
+            data = _read_capped(fh)
         # universal newlines, as text-mode reading would give
         cert = parse(data.decode().replace("\r\n", "\n").replace("\r", "\n"))
         _check_verified_rows(cert.row_count)

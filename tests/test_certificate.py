@@ -303,6 +303,76 @@ class TestScalarProof:
             tuple(sorted((500, r))) for r in range(k) if r != 500
         }
 
+    @pytest.mark.parametrize("rows", [(0,), (1,), (2,), (-1,), (0, 1), (1, 2), (5, 6), (-2, -1)])
+    def test_loose_rows_anywhere(self, rows):
+        # a row that breaks the scalar form, alone or next to another, at
+        # the basis rows, in the middle or at the end, replaced or nudged
+        rng = np.random.default_rng(20 + sum(rows))
+        for k in (7, 11, 13, 23, 31, 37):
+            table = prime_construction(k).table
+            m = len(table)
+            for nudge in (False, True):
+                loose = table.copy()
+                for row in rows:
+                    loose[row] = (
+                        corrupted(table, [(row, rng.integers(k))], rng)[row]
+                        if nudge else rng.integers(0, k, k)
+                    )
+                assert not _scalar_fit(k, loose)[1][list(rows)].any()
+                assert_exact(k, loose)
+                assert_exact(k, loose[rng.permutation(m)])
+
+    def test_loose_rows_among_non_unit_fitted_pairs(self):
+        # repeated coefficients and ones equal mod 3, 5 or 7 make fitted
+        # pairs whose difference is a non-unit, beside loose rows
+        rng = np.random.default_rng(21)
+        seen = Counter()
+        for k in (15, 21, 25, 35, 45):
+            units = [u for u in range(1, k) if np.gcd(u, k) == 1]
+            for _ in range(40):
+                m = int(rng.integers(4, 16))
+                a = rng.integers(0, k, m)
+                a[:2] = 0, 1 if rng.random() < 0.5 else int(rng.choice(units))
+                g = rng.permutation(k)
+                table = (rng.integers(0, k, k) + a[:, None] * g) % k
+                for row in rng.choice(np.arange(2, m), size=int(rng.integers(1, 3)), replace=False):
+                    table[row] = rng.integers(0, k, k)
+                fitted = _scalar_fit(k, table)[1]
+                report = assert_exact(k, table)
+                fitted_bad = sum(fitted[v.row_s] and fitted[v.row_t] for v in report.violations)
+                seen["fitted non-unit"] += fitted_bad > 0
+                seen["loose"] += len(report.violations) > fitted_bad
+        assert seen["fitted non-unit"] > 50 and seen["loose"] > 50, seen
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            k = int(rng.integers(2, 62))
+            m = int(rng.integers(1, 61))
+            assert_exact(k, rng.integers(0, k, (m, k)))
+
+    @pytest.mark.parametrize("bad_cell", [False, True])
+    def test_verification_memory_is_bounded(self, bad_cell):
+        # blocks and O(m + k) beyond the 7.6 MiB table, also while every
+        # pair through the corrupted row goes to the pairwise kernel
+        import tracemalloc
+
+        k = 997
+        table = prime_construction(k).table.copy()
+        if bad_cell:
+            table[500, 7] = (table[500, 7] + 1) % k
+        tracemalloc.start()
+        try:
+            report = _verification_report(k, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert len(report.violations) == (996 if bad_cell else 0)
+        assert {(v.row_s, v.row_t) for v in report.violations} == (
+            {tuple(sorted((500, r))) for r in range(k) if r != 500} if bad_cell else set()
+        )
+
 
 class TestTypedStates:
     def test_constructor_rejects_non_clique(self):
@@ -563,6 +633,23 @@ class TestFileHelpers:
         again = read_certificate(path)
         assert again.rows == k15_cert.rows
         assert path.read_text() == serialize(k15_cert)
+
+    def test_read_takes_the_file_size_not_the_cap(self, tmp_path):
+        import tracemalloc
+
+        from modclique import read_certificate
+
+        path = tmp_path / "p97.cert"
+        path.write_text(serialize(prime_construction(97)))
+        assert 20_000 < path.stat().st_size < 30_000
+        tracemalloc.start()
+        try:
+            cert = read_certificate(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert cert.table.shape == (97, 97)
 
 
 class TestBundledData:
